@@ -234,9 +234,9 @@ func ReadDataset(path string) ([]Record, error) {
 
 // DatasetStore is the pluggable record storage interface behind
 // checkpointing, resume, and the dataset server. Backends: append-only
-// JSONL file, hash-sharded multi-file directory, and in-memory (see
-// internal/store and DESIGN.md §10). Pass one via PipelineConfig.Store
-// to control where a run streams its records.
+// JSONL file, hash-sharded directory of CRC-framed binary segments, and
+// in-memory (see internal/store and DESIGN.md §10). Pass one via
+// PipelineConfig.Store to control where a run streams its records.
 type DatasetStore = store.Store
 
 // DatasetStoreMeta is the run metadata (seed, shard count) a store
@@ -244,10 +244,11 @@ type DatasetStore = store.Store
 type DatasetStoreMeta = store.Meta
 
 // OpenDatasetStore opens a storage backend from a spec: "jsonl" (or "")
-// for a single append-only JSONL file at path, "sharded:N" for a
-// directory of N hash-sharded JSONL files, "binary:N" for a directory of
-// N compacted binary segment files with per-shard domain indexes (the
-// 100k+-domain format), "mem" for an in-memory store (path ignored).
+// for a single append-only JSONL file at path, "binary:N" for a
+// directory of N hash-sharded binary segment files with per-shard
+// domain indexes (the 100k+-domain format), "mem" for an in-memory
+// store (path ignored). The retired "sharded:N" spec, and a directory
+// it wrote, are refused with an error naming binary:N.
 func OpenDatasetStore(spec, path string) (DatasetStore, error) {
 	return store.OpenSpec(spec, path)
 }
@@ -287,7 +288,7 @@ func RepairDatasetStore(spec, path string) (int64, error) {
 }
 
 // RepairEventDir truncates each flight-recorder shard in dir back to
-// its last well-formed event, returning the bytes dropped.
+// the end of its last good frame, returning the bytes dropped.
 func RepairEventDir(dir string) (int64, error) {
 	return store.RepairEventDir(dir)
 }
@@ -496,32 +497,18 @@ type FlightEvent = store.Event
 // EventStore is a readable flight-recorder stream (see WithServerEvents).
 type EventStore = store.EventStore
 
-// OpenEventLog creates (or reopens) a sharded flight-recorder stream in
-// dir; set it as PipelineConfig.Events to record a run.
+// OpenEventLog creates (or reopens) a flight-recorder stream in dir:
+// events-%02d.bin shards of CRC-framed JSON events, the shard count
+// stamped in events-meta.json at creation. Set it as
+// PipelineConfig.Events to record a run.
 func OpenEventLog(dir string, shards int) (*store.EventLog, error) {
 	return store.OpenEventLog(dir, shards)
 }
 
-// OpenEventDir reopens an existing flight-recorder directory, inferring
-// the shard count.
+// OpenEventDir reopens an existing flight-recorder directory with its
+// stamped shard count; a directory in the retired JSONL event layout is
+// refused with a message to re-record it.
 func OpenEventDir(dir string) (*store.EventLog, error) { return store.OpenEventDir(dir) }
-
-// NewDatasetServerFromRecords exposes an in-memory dataset over the
-// HTTP/JSON API.
-//
-// Deprecated: use NewDatasetServer(DatasetRecords(records)) — it
-// returns the configurable *DatasetServer instead of a bare handler.
-func NewDatasetServerFromRecords(records []Record) http.Handler {
-	return server.New(records)
-}
-
-// NewDatasetServerFromStore exposes a dataset held in any store backend
-// over the same HTTP/JSON API.
-//
-// Deprecated: use NewDatasetServer(DatasetFromStore(st)).
-func NewDatasetServerFromStore(st DatasetStore) (http.Handler, error) {
-	return server.NewFromStore(st)
-}
 
 // WriteAnnotationsCSV / WriteDomainsCSV export the dataset in the flat
 // spreadsheet-friendly forms a release ships next to the JSONL.

@@ -41,7 +41,7 @@ func cmdDebug(args []string) error {
 // vouch for so the run resumes from everything durably written.
 func debugRepair(args []string) error {
 	fs := flag.NewFlagSet("debug repair", flag.ExitOnError)
-	spec := fs.String("store", "jsonl", "store spec to repair: jsonl | sharded:N | binary:N")
+	spec := fs.String("store", "jsonl", "store spec to repair: jsonl | binary:N")
 	eventsDir := fs.String("events", "", "repair a flight-recorder directory instead of a record store")
 	if err := fs.Parse(args); err != nil {
 		return err

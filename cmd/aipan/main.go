@@ -4,11 +4,11 @@
 //
 // Usage:
 //
-//	aipan run      --out aipan.jsonl [--limit N] [--universe N] [--window N] [--model sim-gpt4] [--workers 8] [--seed 3000] [--checkpoint ck.jsonl --store jsonl|sharded:N|binary:N|mem [--resume]] [--stats-out stats.json] [--metrics-addr :9090] [--trace-out run.trace] [--events-out events/] [--telemetry-timings]
+//	aipan run      --out aipan.jsonl [--limit N] [--universe N] [--window N] [--model sim-gpt4] [--workers 8] [--seed 3000] [--checkpoint ck.jsonl --store jsonl|binary:N|mem [--resume]] [--stats-out stats.json] [--metrics-addr :9090] [--trace-out run.trace] [--events-out events/] [--telemetry-timings]
 //	aipan report   --data aipan.jsonl --table funnel|1|2a|2b|3|4|5|6|dist|retention [--seed 3000]
 //	aipan validate --data aipan.jsonl [--seed 3000]
 //	aipan compare-models [--n 20] [--seed 3000]
-//	aipan serve    --data aipan.jsonl [--store sharded:N] [--addr :8090] [--rps 50 --burst 100] [--max-inflight 256] [--cache-size 1024] [--request-timeout 15s] [--drain-timeout 10s] [--log-level info] [--events events/] [--slo-latency-target 250ms]
+//	aipan serve    --data aipan.jsonl [--store jsonl|binary:N] [--addr :8090] [--rps 50 --burst 100] [--max-inflight 256] [--cache-size 1024] [--request-timeout 15s] [--drain-timeout 10s] [--log-level info] [--events events/] [--slo-latency-target 250ms]
 //	aipan debug    trace <file> | events <dir> | repair --store <spec> <path> | repair --events <dir>
 //	aipan vet      [-json] [-baseline aipanvet.baseline|none] [-checks a,b] ./...
 //	aipan all      --out aipan.jsonl [--limit N]
@@ -178,14 +178,23 @@ func (rf *runFlags) validate() error {
 	}
 	switch {
 	case rf.storeSpec == "" || rf.storeSpec == "jsonl" || rf.storeSpec == "mem":
-	case strings.HasPrefix(rf.storeSpec, "sharded:") || strings.HasPrefix(rf.storeSpec, "binary:"):
+	case strings.HasPrefix(rf.storeSpec, "binary:"):
 		if rf.checkpoint == "" {
 			return fmt.Errorf("--store=%s needs --checkpoint to name its shard directory", rf.storeSpec)
 		}
 	default:
-		return fmt.Errorf("--store must be jsonl, sharded:N, binary:N, or mem (got %q)", rf.storeSpec)
+		return storeSpecErr(rf.storeSpec, "jsonl, binary:N, or mem")
 	}
 	return nil
+}
+
+// storeSpecErr is the usage error for a --store value outside want; the
+// retired sharded:N spec names its binary:N replacement.
+func storeSpecErr(spec, want string) error {
+	if n, ok := strings.CutPrefix(spec, "sharded:"); ok {
+		return fmt.Errorf("--store %s: the sharded:N JSONL layout is retired; use --store binary:%s", spec, n)
+	}
+	return fmt.Errorf("--store must be %s (got %q)", want, spec)
 }
 
 func runPipeline(out string, rf runFlags, seed int64, model string, progress bool, of obsFlags) (*core.Result, *aipan.Pipeline, error) {
@@ -333,7 +342,7 @@ func cmdRun(args []string) error {
 	csvPrefix := fs.String("csv", "", "also write <prefix>-annotations.csv and <prefix>-domains.csv")
 	taxPath := fs.String("taxonomy", "", "JSON taxonomy extension to merge before annotating")
 	checkpoint := fs.String("checkpoint", "", "stream records to this path and resume from it on restart")
-	storeSpec := fs.String("store", "jsonl", "checkpoint storage backend: jsonl | sharded:N | binary:N | mem")
+	storeSpec := fs.String("store", "jsonl", "checkpoint storage backend: jsonl | binary:N | mem")
 	resume := fs.Bool("resume", false, "resume an interrupted run from --checkpoint")
 	statsOut := fs.String("stats-out", "", "write run statistics (domains, wall secs, domains/sec, peak RSS) as JSON here")
 	distributed := fs.Int("distributed", 0,
@@ -648,8 +657,12 @@ type serveFlags struct {
 }
 
 func (sf *serveFlags) validate() error {
-	if sf.storeSpec == "mem" {
-		return fmt.Errorf("serve needs a persistent dataset; --store must be jsonl or sharded:N")
+	switch {
+	case sf.storeSpec == "" || sf.storeSpec == "jsonl" || strings.HasPrefix(sf.storeSpec, "binary:"):
+	case sf.storeSpec == "mem":
+		return fmt.Errorf("serve needs a persistent dataset; --store must be jsonl or binary:N")
+	default:
+		return storeSpecErr(sf.storeSpec, "jsonl or binary:N")
 	}
 	if sf.rps < 0 {
 		return fmt.Errorf("--rps must be non-negative (got %g; 0 disables rate limiting)", sf.rps)
@@ -674,11 +687,11 @@ func (sf *serveFlags) validate() error {
 
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
-	data := fs.String("data", "aipan.jsonl", "dataset path (file, or shard directory with --store=sharded:N)")
+	data := fs.String("data", "aipan.jsonl", "dataset path (file, or shard directory with --store=binary:N)")
 	addr := fs.String("addr", ":8090", "listen address")
 	logLevel := fs.String("log-level", "", "structured request logs to stderr: debug | info | warn | error (default off)")
 	var sf serveFlags
-	fs.StringVar(&sf.storeSpec, "store", "jsonl", "dataset storage backend: jsonl | sharded:N")
+	fs.StringVar(&sf.storeSpec, "store", "jsonl", "dataset storage backend: jsonl | binary:N")
 	fs.Float64Var(&sf.rps, "rps", 50, "per-client rate limit in requests/second (0 disables)")
 	fs.IntVar(&sf.burst, "burst", 100, "per-client burst allowance (0 derives it from --rps)")
 	fs.IntVar(&sf.maxInflight, "max-inflight", 256, "concurrent requests admitted before shedding with 503")

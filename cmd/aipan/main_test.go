@@ -20,8 +20,9 @@ func TestRunFlagsValidate(t *testing.T) {
 		{"resume with checkpoint", runFlags{checkpoint: "ck.jsonl", resume: true}, ""},
 		{"jsonl store", runFlags{storeSpec: "jsonl", checkpoint: "ck.jsonl"}, ""},
 		{"mem store", runFlags{storeSpec: "mem"}, ""},
-		{"sharded store with checkpoint", runFlags{storeSpec: "sharded:4", checkpoint: "dir"}, ""},
-		{"sharded store without checkpoint", runFlags{storeSpec: "sharded:4"}, "shard directory"},
+		{"sharded store with checkpoint", runFlags{storeSpec: "binary:4", checkpoint: "dir"}, ""},
+		{"sharded store without checkpoint", runFlags{storeSpec: "binary:4"}, "shard directory"},
+		{"retired sharded spec", runFlags{storeSpec: "sharded:4", checkpoint: "dir"}, "binary:4"},
 		{"unknown store", runFlags{storeSpec: "bolt"}, "--store must be"},
 	}
 	for _, tc := range cases {
@@ -53,7 +54,9 @@ func TestServeFlagsValidate(t *testing.T) {
 		{"defaults", func(*serveFlags) {}, ""},
 		{"rate limiting disabled", func(sf *serveFlags) { sf.rps, sf.burst = 0, 0 }, ""},
 		{"cache disabled", func(sf *serveFlags) { sf.cacheSize = 0 }, ""},
-		{"sharded store", func(sf *serveFlags) { sf.storeSpec = "sharded:4" }, ""},
+		{"sharded store", func(sf *serveFlags) { sf.storeSpec = "binary:4" }, ""},
+		{"retired sharded spec", func(sf *serveFlags) { sf.storeSpec = "sharded:4" }, "binary:4"},
+		{"unknown store", func(sf *serveFlags) { sf.storeSpec = "bolt" }, "--store must be"},
 		{"mem store", func(sf *serveFlags) { sf.storeSpec = "mem" }, "persistent dataset"},
 		{"negative rps", func(sf *serveFlags) { sf.rps = -1 }, "--rps"},
 		{"negative burst", func(sf *serveFlags) { sf.burst = -1 }, "--burst"},

@@ -161,9 +161,12 @@ func TestDatasetServerFacade(t *testing.T) {
 		t.Error("summary response missing ETag")
 	}
 
-	// The deprecated record-slice constructor still serves, and the old
-	// unversioned paths redirect permanently onto /v1.
-	legacy := httptest.NewServer(aipan.NewDatasetServerFromRecords(records))
+	// The old unversioned paths redirect permanently onto /v1.
+	ls, err := aipan.NewDatasetServer(aipan.DatasetRecords(records))
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := httptest.NewServer(ls)
 	defer legacy.Close()
 	resp2, err := legacy.Client().Get(legacy.URL + "/api/summary")
 	if err != nil {

@@ -12,8 +12,9 @@ import (
 // leaks whenever the other path is taken. Every obs.StartSpan /
 // obs.StartSpanWith call in non-test code must therefore bind the span
 // and end it on every path out of the enclosing function — `defer
-// span.End()` by preference, or a straight-line `span.End()` with no
-// return between start and end. Ending inside a nested function literal
+// span.End()` by preference, or a straight-line `span.End()` (or `d :=
+// span.End()`, keeping the duration End returns) with no return between
+// start and end. Ending inside a nested function literal
 // is accepted (the deferred-closure pattern the pipeline uses to end its
 // run span exactly once), as is returning the span to the caller, which
 // transfers the obligation.
@@ -150,13 +151,12 @@ func checkSpanEnds(p *Pass, pkg *Package, body *ast.BlockStmt, st spanStart, stm
 				sites = append(sites, endSite{deferred: true, inLit: depth > 0})
 				return false
 			}
-		case *ast.ExprStmt:
-			call, ok := n.X.(*ast.CallExpr)
-			if !ok || !isEndCall(pkg, call, st.obj) {
+		case *ast.ExprStmt, *ast.AssignStmt:
+			if !isEndStmt(pkg, n.(ast.Stmt), st.obj) {
 				return true
 			}
 			site := endSite{inLit: depth > 0, idx: -1}
-			if pos, ok := stmtPos[ast.Stmt(n)]; ok {
+			if pos, ok := stmtPos[n.(ast.Stmt)]; ok {
 				site.block, site.idx = pos.block, pos.idx
 			}
 			sites = append(sites, site)
@@ -244,6 +244,23 @@ func startSpanCallee(pkg *Package, call *ast.CallExpr) string {
 		return name
 	}
 	return ""
+}
+
+// isEndStmt reports whether stmt is a statement-level End of the span:
+// `span.End()`, or `d := span.End()` keeping the returned duration.
+func isEndStmt(pkg *Package, stmt ast.Stmt, obj types.Object) bool {
+	var call ast.Expr
+	switch s := stmt.(type) {
+	case *ast.ExprStmt:
+		call = s.X
+	case *ast.AssignStmt:
+		if len(s.Rhs) != 1 {
+			return false
+		}
+		call = s.Rhs[0]
+	}
+	c, ok := call.(*ast.CallExpr)
+	return ok && isEndCall(pkg, c, obj)
 }
 
 // isEndCall reports whether call is `<span>.End()` on the given span

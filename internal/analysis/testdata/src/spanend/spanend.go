@@ -4,6 +4,7 @@ package spanend
 
 import (
 	"context"
+	"time"
 
 	"aipan/internal/obs"
 )
@@ -21,6 +22,14 @@ func straightLine(ctx context.Context) {
 	_, span := obs.StartSpanWith(ctx, "straight", obs.A("k", "v"))
 	work()
 	span.End()
+}
+
+// valueEnd keeps the duration End returns — still a straight-line end.
+func valueEnd(ctx context.Context) time.Duration {
+	_, span := obs.StartSpan(ctx, "value")
+	work()
+	d := span.End()
+	return d
 }
 
 // closureEnd is the deferred-wrapper pattern the pipeline run span

@@ -70,7 +70,7 @@ func TestCheckpointResumeAfterCancel(t *testing.T) {
 		t.Fatal("canceled run should return an error")
 	}
 
-	prior, err := store.LoadCheckpoint(ckpt)
+	prior, err := store.ReadJSONL(ckpt)
 	if err != nil {
 		t.Fatal(err)
 	}

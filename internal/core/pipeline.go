@@ -99,7 +99,7 @@ type Config struct {
 	// corrupt the dataset).
 	Checkpoint string
 	// Store, when set, overrides Checkpoint with a caller-supplied
-	// backend (in-memory, sharded, ...). Completed records stream into
+	// backend (in-memory, binary, ...). Completed records stream into
 	// it, domains already present are skipped on start, and the caller
 	// keeps ownership: the pipeline never closes it.
 	Store store.Store
@@ -130,8 +130,9 @@ type Config struct {
 	// by default so same-seed exports are byte-identical — the
 	// determinism property check.sh's telemetry smoke asserts.
 	TelemetryTimings bool
-	// Clock is the time source for event timings (default
-	// obs.SystemClock). Only read when TelemetryTimings is set.
+	// Clock is the tracer's time source (default obs.SystemClock): span
+	// durations, and through them the flight recorder's wall-clock
+	// fields under TelemetryTimings.
 	Clock obs.Clock
 }
 
@@ -620,28 +621,25 @@ func latencyClass(d time.Duration) string {
 	return "slow"
 }
 
-// processDomain runs crawl → extract → annotate for one domain,
-// producing its dataset record and flight-recorder event. Wall-clock
-// fields are only measured (and the clock only read) when
-// TelemetryTimings is on, keeping the default event stream a pure
+// processDomain runs crawl → extract → annotate for one domain under its
+// "domain" span, producing its dataset record and flight-recorder
+// event. The event's wall-clock fields are the domain and crawl span
+// durations — spans are the one timing source — and are only filled
+// when TelemetryTimings is on, keeping the default event stream a pure
 // function of the seed.
 func (p *Pipeline) processDomain(ctx context.Context, d russell.DomainInfo) (store.Record, store.Event) {
-	if !p.cfg.TelemetryTimings {
-		return p.domainWork(ctx, d, nil)
+	ctx, span := obs.StartSpanWith(ctx, "domain", obs.A("domain", d.Domain))
+	rec, ev := p.domainWork(ctx, d)
+	wall := span.End()
+	if p.cfg.TelemetryTimings {
+		ev.WallMillis = wall.Milliseconds()
+		ev.LatencyClass = latencyClass(wall)
 	}
-	start := p.cfg.Clock()
-	stages := map[string]int64{}
-	rec, ev := p.domainWork(ctx, d, stages)
-	wall := p.cfg.Clock().Sub(start)
-	ev.WallMillis = wall.Milliseconds()
-	ev.LatencyClass = latencyClass(wall)
-	ev.StageMillis = stages
 	return rec, ev
 }
 
-// domainWork is processDomain's body; stages, when non-nil, receives
-// per-stage wall millis.
-func (p *Pipeline) domainWork(ctx context.Context, d russell.DomainInfo, stages map[string]int64) (store.Record, store.Event) {
+// domainWork is processDomain's body.
+func (p *Pipeline) domainWork(ctx context.Context, d russell.DomainInfo) (store.Record, store.Event) {
 	rec := store.Record{
 		Domain:       d.Domain,
 		Company:      d.Companies[0].Name,
@@ -654,19 +652,12 @@ func (p *Pipeline) domainWork(ctx context.Context, d russell.DomainInfo, stages 
 	sort.Strings(rec.Tickers)
 	ev := store.Event{RunID: p.cfg.RunID, Domain: d.Domain, Sector: d.Sector}
 
-	ctx, dspan := obs.StartSpanWith(ctx, "domain", obs.A("domain", d.Domain))
-	defer dspan.End()
-
 	cctx, cspan := obs.StartSpan(ctx, "crawl")
-	var crawlStart time.Time
-	if stages != nil {
-		crawlStart = p.cfg.Clock()
-	}
 	cres := p.crawler.CrawlDomain(cctx, d.Domain)
-	if stages != nil {
-		stages["crawl"] = p.cfg.Clock().Sub(crawlStart).Milliseconds()
+	crawl := cspan.End()
+	if p.cfg.TelemetryTimings {
+		ev.StageMillis = map[string]int64{"crawl": crawl.Milliseconds()}
 	}
-	cspan.End()
 	rec.Crawl = store.CrawlInfo{
 		Success:          cres.Success,
 		PagesFetched:     cres.PagesFetched(),

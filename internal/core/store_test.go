@@ -41,15 +41,11 @@ func TestPipelineDeterminismAcrossStoreBackends(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sh, err := store.OpenSharded(dir+"/shards", 4)
-		if err != nil {
-			t.Fatal(err)
-		}
 		bn, err := store.OpenBinary(dir+"/bins", 4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return map[string]store.Store{"jsonl": js, "sharded4": sh, "binary4": bn, "mem": store.NewMem()}
+		return map[string]store.Store{"jsonl": js, "binary4": bn, "mem": store.NewMem()}
 	}
 	for _, workers := range []int{1, 16} {
 		for name, st := range backends(t) {
@@ -85,7 +81,7 @@ func TestSeedStampRefusesMismatchedResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := store.OpenSharded(dir+"/shards", 2)
+	sh, err := store.OpenBinary(dir+"/bins", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,13 +138,13 @@ func TestSeedMismatchOnCheckpointPath(t *testing.T) {
 }
 
 // TestShardedResumeAfterCancel is the resume-after-cancel acceptance
-// check on the sharded backend: cancel mid-run, reopen the shard
-// directory, finish, and the stitched dataset matches a clean run.
+// check on the sharded binary:N backend: cancel mid-run, reopen the
+// shard directory, finish, and the stitched dataset matches a clean run.
 func TestShardedResumeAfterCancel(t *testing.T) {
 	const limit = 30
-	dir := t.TempDir() + "/shards"
+	dir := t.TempDir() + "/bins"
 
-	st1, err := store.OpenSharded(dir, 4)
+	st1, err := store.OpenBinary(dir, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +164,7 @@ func TestShardedResumeAfterCancel(t *testing.T) {
 	}
 	st1.Close()
 
-	st2, err := store.OpenSharded(dir, 4)
+	st2, err := store.OpenBinary(dir, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,9 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
+	"time"
 
 	"aipan/internal/obs"
 	"aipan/internal/store"
@@ -121,5 +123,84 @@ func TestTelemetryByteIdenticalAcrossRuns(t *testing.T) {
 	defer log.Close()
 	if n, err := log.Len(); err != nil || n != limit {
 		t.Fatalf("event stream holds %d events, %v; want %d", n, err, limit)
+	}
+}
+
+// spanCollector is an in-memory obs.Exporter.
+type spanCollector struct {
+	mu   sync.Mutex
+	recs []obs.SpanRecord
+}
+
+func (c *spanCollector) ExportSpan(rec *obs.SpanRecord) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.recs = append(c.recs, *rec)
+}
+
+func (c *spanCollector) Close() error { return nil }
+
+// TestEventTimingsComeFromSpans: in timed mode the flight recorder's
+// wall-clock fields are the exported spans' durations, not a second
+// measurement. The clock advances on every read, so any clock read of
+// its own between the span ends would show up as a mismatch.
+func TestEventTimingsComeFromSpans(t *testing.T) {
+	var mu sync.Mutex
+	now := time.Unix(1_700_000_000, 0)
+	clock := func() time.Time {
+		mu.Lock()
+		defer mu.Unlock()
+		now = now.Add(3 * time.Millisecond)
+		return now
+	}
+	spans := &spanCollector{}
+	events := store.NewMemEvents()
+	p, err := New(Config{Limit: 6, Workers: 1, TelemetryTimings: true, Clock: clock,
+		TraceExporter: spans, Events: events})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	domainSpans := map[string]obs.SpanRecord{} // domain → its "domain" span
+	crawlSpans := map[string]obs.SpanRecord{}  // parent span ID → its "crawl" span
+	for _, rec := range spans.recs {
+		switch rec.Name {
+		case "domain":
+			for _, a := range rec.Attrs {
+				if a.Key == "domain" {
+					domainSpans[a.Value] = rec
+				}
+			}
+		case "crawl":
+			crawlSpans[rec.ParentID] = rec
+		}
+	}
+	n := 0
+	if err := events.Scan(func(ev *store.Event) error {
+		n++
+		ds, ok := domainSpans[ev.Domain]
+		if !ok {
+			t.Fatalf("%s: no domain span exported", ev.Domain)
+		}
+		cs, ok := crawlSpans[ds.SpanID]
+		if !ok {
+			t.Fatalf("%s: no crawl span under its domain span", ev.Domain)
+		}
+		wall := time.Duration(ds.DurationNanos)
+		if ev.WallMillis != wall.Milliseconds() || ev.LatencyClass != latencyClass(wall) {
+			t.Errorf("%s: event wall %dms (%s), domain span %v", ev.Domain, ev.WallMillis, ev.LatencyClass, wall)
+		}
+		if crawl := time.Duration(cs.DurationNanos).Milliseconds(); ev.StageMillis["crawl"] != crawl {
+			t.Errorf("%s: event crawl %dms, crawl span %dms", ev.Domain, ev.StageMillis["crawl"], crawl)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n != 6 {
+		t.Fatalf("recorded %d events, want 6", n)
 	}
 }

@@ -15,8 +15,6 @@ package engine
 
 import (
 	"context"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"aipan/internal/obs"
@@ -102,95 +100,22 @@ func (s *Stage[In, Out]) WithClock(c obs.Clock) *Stage[In, Out] {
 }
 
 // Map runs fn over every item with at most Policy.Workers in flight and
-// returns the results in submission order. See MapDeliver for the error
-// and cancellation contract.
-func (s *Stage[In, Out]) Map(ctx context.Context, items []In) ([]Out, error) {
-	return s.MapDeliver(ctx, items, nil)
-}
-
-// MapDeliver is Map with streaming delivery: deliver (when non-nil) is
-// invoked exactly once per executed item, serialized, in submission
-// order — result i is delivered only after results 0..i-1, as soon as
-// that prefix is complete. The pipeline streams checkpoint writes and
-// progress ticks through it, which is what makes checkpoint files
-// deterministic across worker counts.
-//
-// Failure contract: a failed item is retried per the Policy; once
-// retries are exhausted its error is recorded (and delivered) but the
-// remaining items still run — Map reports the lowest-index error after
-// the whole stage drains. Cancellation contract: workers stop claiming
-// items once ctx is done and the call returns ctx.Err() if any item was
-// never executed; every started item runs to completion (fn observes
-// the canceled ctx and is expected to return quickly), so no goroutine
+// returns the results in submission order. It is StreamDeliver with the
+// whole input as the window, so the two share one delivery loop and one
+// contract. Failure contract: a failed item is retried per the Policy;
+// once retries are exhausted its error is recorded but the remaining
+// items still run — Map reports the lowest-index error after the whole
+// stage drains. Cancellation contract: workers stop claiming items once
+// ctx is done and the call returns ctx.Err() if any item was never
+// executed; every started item runs to completion (fn observes the
+// canceled ctx and is expected to return quickly), so no goroutine
 // outlives the call.
-func (s *Stage[In, Out]) MapDeliver(ctx context.Context, items []In,
-	deliver func(i int, out Out, err error)) ([]Out, error) {
-	n := len(items)
-	out := make([]Out, n)
-	if n == 0 {
-		return out, nil
-	}
-	errs := make([]error, n)
-	workers := s.pol.Workers
-	if workers == 0 {
-		workers = 1
-	}
-	if workers < 0 || workers > n {
-		workers = n
-	}
-
-	s.met.queue.Add(float64(n))
-	// Submission-order delivery: completion marks ready[i]; whoever
-	// completes the head of the contiguous prefix flushes it.
-	var mu sync.Mutex
-	ready := make([]bool, n)
-	cursor := 0
-	complete := func(i int) {
-		if deliver == nil {
-			return
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		ready[i] = true
-		for cursor < n && ready[cursor] {
-			deliver(cursor, out[cursor], errs[cursor])
-			cursor++
-		}
-	}
-
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ctx.Err() == nil {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				s.met.queue.Dec()
-				out[i], errs[i] = s.runItem(ctx, items[i])
-				complete(i)
-			}
-		}()
-	}
-	wg.Wait()
-
-	dispatched := int(next.Load())
-	if dispatched > n {
-		dispatched = n
-	}
-	s.met.queue.Add(float64(dispatched - n)) // undispatched items left the queue
-	if err := ctx.Err(); err != nil && dispatched < n {
-		return out, err
-	}
-	for i := range errs {
-		if errs[i] != nil {
-			return out, errs[i]
-		}
-	}
-	return out, nil
+func (s *Stage[In, Out]) Map(ctx context.Context, items []In) ([]Out, error) {
+	out := make([]Out, len(items))
+	err := s.StreamDeliver(ctx, len(items), len(items),
+		func(i int) In { return items[i] },
+		func(i int, o Out, _ error) { out[i] = o })
+	return out, err
 }
 
 // runItem executes one item through the retry loop, recording latency

@@ -19,16 +19,15 @@ func newTestStage[In, Out any](t *testing.T, pol Policy,
 }
 
 func TestMapZeroItems(t *testing.T) {
-	delivered := 0
 	st := newTestStage[int, int](t, Policy{Workers: 8}, func(_ context.Context, v int) (int, error) {
 		return v, nil
 	})
-	out, err := st.MapDeliver(context.Background(), nil, func(int, int, error) { delivered++ })
+	out, err := st.Map(context.Background(), nil)
 	if err != nil {
 		t.Fatalf("Map over zero items: %v", err)
 	}
-	if len(out) != 0 || delivered != 0 {
-		t.Fatalf("zero items produced %d results, %d deliveries", len(out), delivered)
+	if len(out) != 0 {
+		t.Fatalf("zero items produced %d results", len(out))
 	}
 }
 
@@ -41,16 +40,7 @@ func TestMapOrderedDeliveryMaxConcurrency(t *testing.T) {
 		time.Sleep(time.Duration(n-v) * time.Millisecond / 4)
 		return v * v, nil
 	})
-	var order []int
-	out, err := st.MapDeliver(context.Background(), seq(n), func(i int, v int, err error) {
-		if err != nil {
-			t.Errorf("item %d: unexpected error %v", i, err)
-		}
-		if v != i*i {
-			t.Errorf("item %d delivered %d, want %d", i, v, i*i)
-		}
-		order = append(order, i)
-	})
+	out, err := st.Map(context.Background(), seq(n))
 	if err != nil {
 		t.Fatalf("Map: %v", err)
 	}
@@ -58,6 +48,21 @@ func TestMapOrderedDeliveryMaxConcurrency(t *testing.T) {
 		if v != i*i {
 			t.Fatalf("out[%d] = %d, want %d", i, v, i*i)
 		}
+	}
+	// The same run as Map makes it — the whole input as the window —
+	// with the delivery order observed.
+	var order []int
+	if err := st.StreamDeliver(context.Background(), n, n, func(i int) int { return i },
+		func(i int, v int, err error) {
+			if err != nil {
+				t.Errorf("item %d: unexpected error %v", i, err)
+			}
+			if v != i*i {
+				t.Errorf("item %d delivered %d, want %d", i, v, i*i)
+			}
+			order = append(order, i)
+		}); err != nil {
+		t.Fatalf("StreamDeliver: %v", err)
 	}
 	if len(order) != n {
 		t.Fatalf("delivered %d of %d items", len(order), n)
@@ -98,10 +103,7 @@ func TestMapErrorAfterRetriesExhausted(t *testing.T) {
 		}
 		return v + 1, nil
 	})
-	var delivered []error
-	out, err := st.MapDeliver(context.Background(), seq(8), func(i int, _ int, err error) {
-		delivered = append(delivered, err)
-	})
+	out, err := st.Map(context.Background(), seq(8))
 	if !errors.Is(err, boom) {
 		t.Fatalf("Map error = %v, want wrapped boom", err)
 	}
@@ -120,6 +122,14 @@ func TestMapErrorAfterRetriesExhausted(t *testing.T) {
 		if i != 3 && i != 6 && out[i] != i+1 {
 			t.Fatalf("out[%d] = %d, want %d (healthy items must still run)", i, out[i], i+1)
 		}
+	}
+
+	// Each failed item's own error reaches the delivery callback.
+	var delivered []error
+	err = st.StreamDeliver(context.Background(), 8, 3, func(i int) int { return i },
+		func(_ int, _ int, err error) { delivered = append(delivered, err) })
+	if err == nil || err.Error() != "item 3: boom" {
+		t.Fatalf("StreamDeliver returned %v, want the lowest-index error", err)
 	}
 	if len(delivered) != 8 || delivered[3] == nil || delivered[6] == nil || delivered[0] != nil {
 		t.Fatalf("per-item errors not delivered: %v", delivered)

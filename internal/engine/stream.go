@@ -5,19 +5,22 @@ import (
 	"sync"
 )
 
-// StreamDeliver is the constant-memory form of MapDeliver: it runs fn
-// over n items produced on demand by item(i), with at most
-// Policy.Workers in flight, and retains at most window results at any
-// moment. A worker may only claim item i once fewer than window items
-// separate it from the delivery cursor, so producers can never run
-// ahead of a slow sink — the back-pressure that keeps the pipeline's
-// RSS flat at corpus scale. Results live in a ring buffer and each slot
-// is zeroed as soon as its result is delivered.
+// StreamDeliver is the engine's one delivery loop: it runs fn over n
+// items produced on demand by item(i), with at most Policy.Workers in
+// flight, and retains at most window results at any moment. A worker
+// may only claim item i once fewer than window items separate it from
+// the delivery cursor, so producers can never run ahead of a slow sink
+// — the back-pressure that keeps the pipeline's RSS flat at corpus
+// scale. Results live in a ring buffer and each slot is zeroed as soon
+// as its result is delivered.
 //
-// The delivery contract matches MapDeliver exactly: deliver is invoked
-// once per executed item, serialized, in submission order. deliver runs
-// under the stream's internal lock and must not call back into the
-// stage. The error and cancellation contracts also match MapDeliver: a
+// Delivery contract: deliver is invoked exactly once per executed item,
+// serialized, in submission order — result i is delivered only after
+// results 0..i-1, as soon as that prefix is complete. The pipeline
+// streams checkpoint writes and progress ticks through it, which is
+// what makes checkpoint files deterministic across worker counts.
+// deliver runs under the stream's internal lock and must not call back
+// into the stage. The error and cancellation contracts are Map's: a
 // failed item (after retries) is delivered and the stream keeps
 // draining, with the lowest-index error returned at the end;
 // cancellation stops workers from claiming new items and returns

@@ -164,9 +164,9 @@ func TestStreamDeliverCancellation(t *testing.T) {
 	}
 }
 
-// TestStreamDeliverMatchesMapDeliver: for the same inputs, the streamed
-// delivery sequence is identical to MapDeliver's.
-func TestStreamDeliverMatchesMapDeliver(t *testing.T) {
+// TestMapMatchesStreamDeliver: for the same inputs, Map's results are
+// the sequence a window-16 stream delivers.
+func TestMapMatchesStreamDeliver(t *testing.T) {
 	const n = 300
 	mk := func() *Stage[int, string] {
 		return NewStage(obs.NewRegistry(), "t", Policy{Workers: 6},
@@ -178,9 +178,8 @@ func TestStreamDeliverMatchesMapDeliver(t *testing.T) {
 	for i := range items {
 		items[i] = i
 	}
-	var fromMap []string
-	if _, err := mk().MapDeliver(context.Background(), items,
-		func(_ int, out string, _ error) { fromMap = append(fromMap, out) }); err != nil {
+	fromMap, err := mk().Map(context.Background(), items)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var fromStream []string

@@ -199,11 +199,13 @@ func (s *Span) SetAttr(key, value string) {
 }
 
 // End records the span's duration into the stage histogram and the trace
-// tree, and exports the span if the tracer carries an Exporter. Safe on
-// a nil span.
-func (s *Span) End() {
+// tree, exports the span if the tracer carries an Exporter, and returns
+// the duration, so callers that report a region's time read it from the
+// span rather than timing the region twice. Safe on a nil span, which
+// returns 0.
+func (s *Span) End() time.Duration {
 	if s == nil {
-		return
+		return 0
 	}
 	d := s.tracer.clock().Sub(s.start)
 	s.tracer.record(s.path, d)
@@ -224,6 +226,7 @@ func (s *Span) End() {
 		}
 		e.ExportSpan(rec)
 	}
+	return d
 }
 
 // spanIDString renders an ID as 16 lowercase hex digits (JSON-safe:

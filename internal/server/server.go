@@ -55,8 +55,8 @@ type recordsSource []store.Record
 
 func (rs recordsSource) Load() ([]store.Record, error) { return rs, nil }
 
-// FromStore adapts any store backend — JSONL file, shard directory,
-// binary segment store, in-memory — into a Source, without an
+// FromStore adapts any store backend — JSONL file, binary shard
+// directory, in-memory — into a Source, without an
 // intermediate flat-file export. Backends exposing per-shard views
 // (every shipped backend does) load incrementally: each Refresh
 // re-scans only the shards whose change stamp moved since the previous
@@ -240,25 +240,6 @@ func NewServer(src Source, opts ...Option) (*Server, error) {
 	}
 	s.ready.Store(true)
 	return s, nil
-}
-
-// New builds the API over an in-memory dataset.
-//
-// Deprecated: use NewServer(Records(records), opts...).
-func New(records []store.Record, opts ...Option) *Server {
-	s, err := NewServer(Records(records), opts...)
-	if err != nil {
-		// Unreachable: an in-memory Source cannot fail to load.
-		panic(err)
-	}
-	return s
-}
-
-// NewFromStore builds the API over a dataset held in a store backend.
-//
-// Deprecated: use NewServer(FromStore(st), opts...).
-func NewFromStore(st store.Store, opts ...Option) (*Server, error) {
-	return NewServer(FromStore(st), opts...)
 }
 
 // Refresh re-Loads the Source and atomically swaps in a freshly

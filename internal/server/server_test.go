@@ -442,11 +442,11 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 // TestNewFromStore serves the same API straight from a store backend —
-// the sharded one, whose scan order differs from the record slice, to
-// prove views do not depend on load order.
+// the sharded binary one, whose scan order differs from the record
+// slice, to prove views do not depend on load order.
 func TestNewFromStore(t *testing.T) {
 	recs := testRecords()
-	st, err := store.OpenSharded(t.TempDir(), 3)
+	st, err := store.OpenBinary(t.TempDir(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,33 +476,6 @@ func TestNewFromStore(t *testing.T) {
 	}
 	if code, _ := get(t, srv.URL+"/v1/domains/acme.example.com"); code != 200 {
 		t.Fatalf("domain lookup from store: status %d", code)
-	}
-}
-
-// TestDeprecatedConstructors keeps the pre-redesign constructors
-// compiling and serving.
-func TestDeprecatedConstructors(t *testing.T) {
-	srv := httptest.NewServer(New(testRecords(), WithRegistry(obs.NewRegistry())))
-	defer srv.Close()
-	if status, _ := get(t, srv.URL+"/v1/summary"); status != 200 {
-		t.Errorf("New: summary status %d", status)
-	}
-
-	st := store.NewMem()
-	recs := testRecords()
-	for i := range recs {
-		if err := st.Append(&recs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s, err := NewFromStore(st, WithRegistry(obs.NewRegistry()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv2 := httptest.NewServer(s)
-	defer srv2.Close()
-	if status, _ := get(t, srv2.URL+"/v1/summary"); status != 200 {
-		t.Errorf("NewFromStore: summary status %d", status)
 	}
 }
 

@@ -26,11 +26,11 @@ func (c *countingShardView) ScanShard(i int, fn func(*store.Record) error) error
 	return c.sv.ScanShard(i, fn)
 }
 
-// TestRefreshSkipsUnchangedShards appends to one shard of a sharded
+// TestRefreshSkipsUnchangedShards appends to one shard of a binary
 // store between refreshes and checks that only that shard is re-scanned
 // — the incremental-refresh contract of FromStore over a ShardView.
 func TestRefreshSkipsUnchangedShards(t *testing.T) {
-	st, err := store.OpenSharded(t.TempDir(), 4)
+	st, err := store.OpenBinary(t.TempDir(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,11 +2,11 @@ package store
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -31,10 +31,11 @@ type Store interface {
 type Meta struct {
 	// Seed is the corpus seed the records were generated under.
 	Seed int64 `json:"seed"`
-	// Shards is the shard count of a sharded store (0 otherwise).
+	// Shards is the shard count of a binary store or event log (0 for
+	// the single-file JSONL store).
 	Shards int `json:"shards,omitempty"`
-	// Format names the on-disk layout ("binary" for the segment store;
-	// empty for JSONL layouts, which predate the field).
+	// Format names the on-disk layout: "binary" for the segment store,
+	// empty for the JSONL file, whose sidecar predates the field.
 	Format string `json:"format,omitempty"`
 	// Codec is the binary record codec version (0 for JSONL layouts).
 	Codec int `json:"codec,omitempty"`
@@ -89,11 +90,19 @@ func (s *JSONL) Append(rec *Record) error {
 // Scan replays the file's records in append order. A store that was
 // never written to scans as empty.
 func (s *JSONL) Scan(fn func(*Record) error) error {
-	return scanFile(s.path, fn)
+	it, err := openJSONLIter(s.path, false)
+	if err != nil {
+		return err
+	}
+	return drain(it, fn)
 }
 
 // Len counts the persisted records.
-func (s *JSONL) Len() (int, error) { return scanLen(s) }
+func (s *JSONL) Len() (int, error) {
+	n := 0
+	err := s.Scan(func(*Record) error { n++; return nil })
+	return n, err
+}
 
 // Close flushes and closes the file.
 func (s *JSONL) Close() error {
@@ -114,6 +123,103 @@ func (s *JSONL) Meta() (Meta, bool, error) { return readMetaFile(s.path + ".meta
 
 // SetMeta writes the sidecar stamp atomically.
 func (s *JSONL) SetMeta(m Meta) error { return writeMetaFile(s.path+".meta", m) }
+
+// jsonlIter is the one JSONL line reader: JSONL.Scan, ReadJSONL, the
+// export merge and the JSONL repair all pull records through it. A line
+// that fails to parse is classified by what follows it: only blank
+// lines means a torn final append, reported as ErrTruncated; a record
+// behind it means mid-file corruption, reported plainly.
+type jsonlIter struct {
+	f      *os.File
+	sc     *bufio.Scanner
+	path   string
+	lineNo int
+	// good is the offset just past the last newline-terminated line that
+	// parsed or was blank: where Repair cuts a bad tail.
+	good int64
+	// bad marks that next stopped on an unparseable line, not on an I/O
+	// error.
+	bad bool
+	rec Record
+}
+
+// openJSONLIter opens a line reader over the JSONL file at path. A
+// missing file reads as empty unless mustExist.
+func openJSONLIter(path string, mustExist bool) (*jsonlIter, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		if os.IsNotExist(err) && !mustExist {
+			return &jsonlIter{path: path}, nil
+		}
+		return nil, fmt.Errorf("store: opening %s: %w", path, err)
+	}
+	sc := bufio.NewScanner(f)
+	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
+	sc.Split(splitLine)
+	return &jsonlIter{f: f, sc: sc, path: path}, nil
+}
+
+// splitLine splits at newlines and keeps the newline on the token, so
+// the reader counts bytes exactly and tells a terminated line from an
+// unterminated tail.
+func splitLine(data []byte, atEOF bool) (int, []byte, error) {
+	if i := bytes.IndexByte(data, '\n'); i >= 0 {
+		return i + 1, data[:i+1], nil
+	}
+	if atEOF && len(data) > 0 {
+		return len(data), data, nil
+	}
+	return 0, nil, nil
+}
+
+func (it *jsonlIter) next() (*Record, bool, error) {
+	if it.sc == nil {
+		return nil, false, nil
+	}
+	for it.sc.Scan() {
+		it.lineNo++
+		line := it.sc.Bytes()
+		n := int64(len(line))
+		if line[len(line)-1] != '\n' {
+			n = 0 // an unterminated tail never counts as durable
+		}
+		if len(bytes.TrimSpace(line)) == 0 {
+			it.good += n
+			continue
+		}
+		it.rec = Record{}
+		if err := json.Unmarshal(line, &it.rec); err != nil {
+			it.bad = true
+			return nil, false, it.classify(err)
+		}
+		it.good += n
+		return &it.rec, true, nil
+	}
+	if err := it.sc.Err(); err != nil {
+		return nil, false, fmt.Errorf("store: reading %s: %w", it.path, err)
+	}
+	return nil, false, nil
+}
+
+// classify wraps the decode failure of the current line, reading ahead
+// to tell a torn tail from mid-file corruption.
+func (it *jsonlIter) classify(cause error) error {
+	lineNo := it.lineNo
+	for it.sc.Scan() {
+		if len(bytes.TrimSpace(it.sc.Bytes())) != 0 {
+			return fmt.Errorf("store: %s line %d: %w", it.path, lineNo, cause)
+		}
+	}
+	return fmt.Errorf("store: %s line %d: %w: %w (run `aipan debug repair` to truncate to the last good record)",
+		it.path, lineNo, cause, ErrTruncated)
+}
+
+func (it *jsonlIter) close() error {
+	if it.f == nil {
+		return nil
+	}
+	return it.f.Close()
+}
 
 // -------------------------------------------------------------- in-memory
 
@@ -174,59 +280,9 @@ func (s *Mem) SetMeta(m Meta) error {
 	return nil
 }
 
-// ----------------------------------------------------------- hash-sharded
-
-// Sharded is the multi-file backend for large runs: records are
-// distributed across shard-%02d.jsonl files in a directory by a hash of
-// the domain, so no single file (or its flush lock) becomes the
-// bottleneck and shards can be processed independently downstream. Scan
-// replays shards in index order; within a shard, append order — which
-// the engine's submission-order delivery makes deterministic. The shard
-// count and seed are stamped in the directory's meta.json, and
-// reopening with a different shard count is refused (records would hash
-// to the wrong files).
-type Sharded struct {
-	dir    string
-	shards int
-	mu     sync.Mutex
-	files  []*JSONL // lazily opened per shard
-}
-
-// OpenSharded opens (or creates) a sharded store in dir with the given
-// shard count (1..99, so shard files keep their two-digit names).
-func OpenSharded(dir string, shards int) (*Sharded, error) {
-	if shards < 1 || shards > 99 {
-		return nil, fmt.Errorf("store: shard count %d out of range 1..99", shards)
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("store: creating shard dir: %w", err)
-	}
-	s := &Sharded{dir: dir, shards: shards, files: make([]*JSONL, shards)}
-	if m, ok, err := s.Meta(); err != nil {
-		return nil, err
-	} else if ok {
-		if m.Format != "" {
-			return nil, fmt.Errorf("store: %s holds a %q store, not a sharded JSONL one", dir, m.Format)
-		}
-		if m.Shards != 0 && m.Shards != shards {
-			return nil, fmt.Errorf("store: %s was created with %d shards, reopened with %d",
-				dir, m.Shards, shards)
-		}
-	}
-	return s, nil
-}
-
-func (s *Sharded) shardPath(i int) string {
-	return filepath.Join(s.dir, fmt.Sprintf("shard-%02d.jsonl", i))
-}
-
-func (s *Sharded) shardOf(domain string) int {
-	return ShardOf(domain, s.shards)
-}
-
 // ShardOf is the module-wide shard hash: the shard index (FNV-32a mod
-// n) a domain belongs to in any n-way partition. The sharded store
-// backends route appends with it, and the dispatch coordinator
+// n) a domain belongs to in any n-way partition. The binary store and
+// the event log route appends with it, and the dispatch coordinator
 // partitions the study list with the same function — a worker's leased
 // shard is exactly the set of domains a local n-shard store would put
 // in shard i, so distributed and single-process runs agree on every
@@ -237,107 +293,7 @@ func ShardOf(domain string, n int) int {
 	return int(h.Sum32() % uint32(n))
 }
 
-// Append routes rec to its domain's shard.
-func (s *Sharded) Append(rec *Record) error {
-	i := s.shardOf(rec.Domain)
-	s.mu.Lock()
-	f := s.files[i]
-	if f == nil {
-		var err error
-		f, err = OpenJSONL(s.shardPath(i))
-		if err != nil {
-			s.mu.Unlock()
-			return err
-		}
-		s.files[i] = f
-	}
-	s.mu.Unlock()
-	return f.Append(rec)
-}
-
-// Scan replays every shard in index order (missing shard files read as
-// empty).
-func (s *Sharded) Scan(fn func(*Record) error) error {
-	for i := 0; i < s.shards; i++ {
-		if err := scanFile(s.shardPath(i), fn); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Len counts records across all shards.
-func (s *Sharded) Len() (int, error) { return scanLen(s) }
-
-// Close closes every opened shard file.
-func (s *Sharded) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var first error
-	for i, f := range s.files {
-		if f == nil {
-			continue
-		}
-		if err := f.Close(); err != nil && first == nil {
-			first = err
-		}
-		s.files[i] = nil
-	}
-	return first
-}
-
-// Meta reads the directory's meta.json stamp.
-func (s *Sharded) Meta() (Meta, bool, error) {
-	return readMetaFile(filepath.Join(s.dir, "meta.json"))
-}
-
-// SetMeta writes the stamp, always recording the shard count.
-func (s *Sharded) SetMeta(m Meta) error {
-	m.Shards = s.shards
-	return writeMetaFile(filepath.Join(s.dir, "meta.json"), m)
-}
-
 // ---------------------------------------------------------------- helpers
-
-// scanFile streams a JSONL file through fn; a missing file is empty.
-func scanFile(path string, fn func(*Record) error) error {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return fmt.Errorf("store: opening %s: %w", path, err)
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 16<<20)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var r Record
-		if err := json.Unmarshal(line, &r); err != nil {
-			return classifyLineErr(sc, path, lineNo, err)
-		}
-		if err := fn(&r); err != nil {
-			return err
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("store: reading %s: %w", path, err)
-	}
-	return nil
-}
-
-// scanLen implements Len by counting a Scan.
-func scanLen(s Store) (int, error) {
-	n := 0
-	err := s.Scan(func(*Record) error { n++; return nil })
-	return n, err
-}
 
 func readMetaFile(path string) (Meta, bool, error) {
 	data, err := os.ReadFile(path)
@@ -372,7 +328,7 @@ func writeMetaFile(path string, m Meta) error {
 // SaveJSONL atomically writes a store's records as one JSONL file (temp
 // file + rename), sorted by domain — the final-dataset write shared by
 // every backend. Sorting makes the output a pure function of the record
-// set: a sharded store (whose Scan order is shard-major) and a JSONL
+// set: a binary store (whose Scan order is shard-major) and a JSONL
 // checkpoint (append order) holding the same records export
 // byte-identical files. The sort is a streaming k-way merge over the
 // store's shards (each appends in domain order), so the export runs in
@@ -390,28 +346,39 @@ func SaveJSONL(path string, st Store) error {
 }
 
 // OpenSpec opens a backend from a CLI spec: "jsonl" (or "") is the
-// single-file store at path, "sharded:N" is an N-way sharded JSONL
-// store in the directory at path, "binary:N" is an N-way binary segment
+// single-file store at path, "binary:N" is an N-way binary segment
 // store in the directory at path, and "mem" is the in-memory store
-// (path is ignored).
+// (path is ignored). The retired "sharded:N" spec is refused with an
+// error naming binary:N.
 func OpenSpec(spec, path string) (Store, error) {
 	switch {
 	case spec == "" || spec == "jsonl":
 		return OpenJSONL(path)
 	case spec == "mem":
 		return NewMem(), nil
-	case strings.HasPrefix(spec, "sharded:"):
-		n, err := strconv.Atoi(strings.TrimPrefix(spec, "sharded:"))
-		if err != nil {
-			return nil, fmt.Errorf("store: bad shard count in %q (want sharded:N)", spec)
-		}
-		return OpenSharded(path, n)
-	case strings.HasPrefix(spec, "binary:"):
-		n, err := strconv.Atoi(strings.TrimPrefix(spec, "binary:"))
-		if err != nil {
-			return nil, fmt.Errorf("store: bad shard count in %q (want binary:N)", spec)
-		}
-		return OpenBinary(path, n)
 	}
-	return nil, fmt.Errorf("store: unknown backend %q (jsonl, sharded:N, binary:N, mem)", spec)
+	n, err := binaryShards(spec)
+	if err != nil {
+		return nil, err
+	}
+	return OpenBinary(path, n)
+}
+
+// binaryShards parses the shard count of a "binary:N" spec; any other
+// spec is an error, and the retired "sharded:N" one names its
+// replacement.
+func binaryShards(spec string) (int, error) {
+	if n, ok := strings.CutPrefix(spec, "sharded:"); ok {
+		return 0, fmt.Errorf("store: the %q JSONL shard layout is retired; use binary:%s (the same hash sharding in CRC-framed segments, with an index and repair)",
+			spec, n)
+	}
+	n, ok := strings.CutPrefix(spec, "binary:")
+	if !ok {
+		return 0, fmt.Errorf("store: unknown backend %q (jsonl, binary:N, mem)", spec)
+	}
+	shards, err := strconv.Atoi(n)
+	if err != nil {
+		return 0, fmt.Errorf("store: bad shard count in %q (want binary:N)", spec)
+	}
+	return shards, nil
 }

@@ -31,15 +31,11 @@ func openBackends(t *testing.T, dir string) map[string]Store {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := OpenSharded(filepath.Join(dir, "shards"), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
 	bn, err := OpenBinary(filepath.Join(dir, "bins"), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]Store{"jsonl": js, "sharded": sh, "binary": bn, "mem": NewMem()}
+	return map[string]Store{"jsonl": js, "binary": bn, "mem": NewMem()}
 }
 
 func TestBackendsRoundTrip(t *testing.T) {
@@ -150,7 +146,7 @@ func TestJSONLResumeAcrossReopen(t *testing.T) {
 
 func TestShardedDistributesAndRefusesMismatch(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenSharded(dir, 4)
+	st, err := OpenBinary(dir, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +161,7 @@ func TestShardedDistributesAndRefusesMismatch(t *testing.T) {
 	}
 	st.Close()
 
-	shards, err := filepath.Glob(filepath.Join(dir, "shard-*.jsonl"))
+	shards, err := filepath.Glob(filepath.Join(dir, "seg-*.bin"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,21 +170,20 @@ func TestShardedDistributesAndRefusesMismatch(t *testing.T) {
 	}
 
 	// Same shard count reopens fine; a different one is refused.
-	if st, err = OpenSharded(dir, 4); err != nil {
+	if st, err = OpenBinary(dir, 4); err != nil {
 		t.Fatalf("reopen with matching shard count: %v", err)
 	}
 	if n, _ := st.Len(); n != 40 {
 		t.Fatalf("Len after reopen = %d, want 40", n)
 	}
 	st.Close()
-	if _, err := OpenSharded(dir, 8); err == nil || !strings.Contains(err.Error(), "shards") {
+	if _, err := OpenBinary(dir, 8); err == nil || !strings.Contains(err.Error(), "shards") {
 		t.Fatalf("reopening 4-shard store with 8 shards: err = %v, want refusal", err)
 	}
-	if _, err := OpenSharded(t.TempDir(), 0); err == nil {
-		t.Fatal("shard count 0 must be rejected")
-	}
-	if _, err := OpenSharded(t.TempDir(), 100); err == nil {
-		t.Fatal("shard count 100 must be rejected")
+	for _, n := range []int{0, 100} {
+		if _, err := OpenBinary(t.TempDir(), n); err == nil || !strings.Contains(err.Error(), "1..99") {
+			t.Fatalf("shard count %d: err = %v, want a 1..99 range refusal", n, err)
+		}
 	}
 }
 
@@ -255,10 +250,7 @@ func TestOpenSpec(t *testing.T) {
 		{"", filepath.Join(dir, "a.jsonl"), "*store.JSONL", false},
 		{"jsonl", filepath.Join(dir, "b.jsonl"), "*store.JSONL", false},
 		{"mem", "", "*store.Mem", false},
-		{"sharded:4", filepath.Join(dir, "sh"), "*store.Sharded", false},
 		{"binary:4", filepath.Join(dir, "bin"), "*store.Binary", false},
-		{"sharded:nope", dir, "", true},
-		{"sharded:0", dir, "", true},
 		{"binary:nope", dir, "", true},
 		{"binary:0", dir, "", true},
 		{"bolt", dir, "", true},
@@ -278,5 +270,21 @@ func TestOpenSpec(t *testing.T) {
 			t.Fatalf("OpenSpec(%q) = %s, want %s", tc.spec, got, tc.wantType)
 		}
 		st.Close()
+	}
+}
+
+// TestRetiredShardedSpecRefused: the sharded:N JSONL layout is gone;
+// opening or repairing by its spec fails with an error naming the
+// binary:N replacement, and creates nothing on disk.
+func TestRetiredShardedSpecRefused(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "sh")
+	if _, err := OpenSpec("sharded:4", dir); err == nil || !strings.Contains(err.Error(), "binary:4") {
+		t.Fatalf("OpenSpec(sharded:4) = %v, want a refusal naming binary:4", err)
+	}
+	if _, err := Repair("sharded:4", dir); err == nil || !strings.Contains(err.Error(), "binary:4") {
+		t.Fatalf("Repair(sharded:4) = %v, want a refusal naming binary:4", err)
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("refused spec touched %s (stat err = %v)", dir, err)
 	}
 }

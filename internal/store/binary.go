@@ -2,34 +2,19 @@ package store
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
 )
 
-// ErrTruncated marks a store whose final record is incomplete or whose
-// tail is not valid frames — the signature of a crash mid-append or of
-// on-disk corruption. Opens refuse it (errors.Is-matchable) instead of
-// silently serving a prefix; Repair truncates the file back to its last
-// good record.
-var ErrTruncated = errors.New("truncated or corrupt record at end of store")
-
-// maxFramePayload bounds a frame's declared payload length. A record is
-// a few KB; anything near this bound is a corrupt length prefix, and
-// refusing it keeps a flipped bit from provoking a GB-sized allocation.
-const maxFramePayload = 1 << 26
-
-// Binary is the compacted segment-store backend for large runs: records
-// are framed (length prefix + payload + CRC32) into seg-%02d.bin files
-// sharded by domain hash, with a seg-%02d.idx sidecar per shard mapping
-// each domain to its frame so point lookups and reopen never re-parse
-// the segment. The binary codec (codec.go) is ~3× denser than JSONL and
-// decodes without reflection, which is what keeps Scan off the
-// allocation hot path at 100k domains.
+// Binary is the sharded backend for large runs: records are framed
+// (frame.go) into seg-%02d.bin files sharded by domain hash (ShardOf),
+// with a seg-%02d.idx sidecar per shard mapping each domain to its
+// frame so point lookups and reopen never re-parse the segment. The
+// binary codec (codec.go) is ~3× denser than JSONL and decodes without
+// reflection, which is what keeps Scan off the allocation hot path at
+// 100k domains.
 //
 // The idx sidecar is a cache, not truth: on open it is validated
 // against the segment, entries the segment does not back are discarded,
@@ -46,7 +31,7 @@ type Binary struct {
 	sizes  []int64           // current .bin sizes
 	counts []int             // records per shard
 	index  map[string]recLoc // domain → latest frame (point lookups)
-	encBuf []byte            // reused Append encode buffer
+	frame  frameBuf          // reused Append frame buffer
 }
 
 // recLoc locates one record's frame.
@@ -57,7 +42,9 @@ type recLoc struct {
 }
 
 // OpenBinary opens (or creates) a binary segment store in dir with the
-// given shard count (1..99).
+// given shard count (1..99). A directory stamped by any other layout —
+// the retired sharded:N JSONL store among them — is refused, never
+// opened as an empty store.
 func OpenBinary(dir string, shards int) (*Binary, error) {
 	if shards < 1 || shards > 99 {
 		return nil, fmt.Errorf("store: shard count %d out of range 1..99", shards)
@@ -77,7 +64,11 @@ func OpenBinary(dir string, shards int) (*Binary, error) {
 	if m, ok, err := s.Meta(); err != nil {
 		return nil, err
 	} else if ok {
-		if m.Format != "" && m.Format != FormatBinary {
+		if m.Format == "" {
+			return nil, fmt.Errorf("store: %s holds a store in the retired sharded:N JSONL layout, which this build no longer reads; re-run into a fresh directory with --store binary:%d",
+				dir, shards)
+		}
+		if m.Format != FormatBinary {
 			return nil, fmt.Errorf("store: %s holds a %q store, not a binary one", dir, m.Format)
 		}
 		if m.Shards != 0 && m.Shards != shards {
@@ -154,14 +145,18 @@ func (s *Binary) loadShard(i int) error {
 	// Recover any frames the sidecar does not cover by scanning the
 	// segment tail. This is the crash-between-appends path; a malformed
 	// tail refuses the open.
-	recovered, err := scanFrames(binPath, covered, binSize, func(e idxEntry, rec *Record) error {
-		entries = append(entries, e)
-		return nil
-	})
+	it, err := openFrames(binPath, covered, binSize, decodeRecord)
 	if err != nil {
 		return err
 	}
-	if stale || recovered > 0 {
+	indexed := len(entries)
+	if err := drain(it, func(rec *Record) error {
+		entries = append(entries, idxEntry{domain: rec.Domain, off: it.at, n: int(it.off - it.at)})
+		return nil
+	}); err != nil {
+		return err
+	}
+	if stale || len(entries) > indexed {
 		if err := writeIdx(s.idxPath(i), entries); err != nil {
 			return err
 		}
@@ -220,77 +215,6 @@ func writeIdx(path string, entries []idxEntry) error {
 	return nil
 }
 
-// frameOverhead is the non-payload bytes of a frame: 4-byte little-
-// endian payload length up front, 4-byte CRC32 (IEEE) of the payload
-// behind.
-const frameOverhead = 8
-
-// scanFrames walks [from, to) of a segment file, validating and
-// decoding every frame and handing each to fn. It returns the number of
-// frames seen. Any malformed tail — short header, implausible length
-// prefix, short payload, CRC mismatch, undecodable payload — returns an
-// error wrapping ErrTruncated that names the file and offset.
-func scanFrames(path string, from, to int64, fn func(idxEntry, *Record) error) (int, error) {
-	if from >= to {
-		return 0, nil
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, fmt.Errorf("store: opening %s: %w", path, err)
-	}
-	defer f.Close()
-	if _, err := f.Seek(from, io.SeekStart); err != nil {
-		return 0, fmt.Errorf("store: seeking %s: %w", path, err)
-	}
-
-	refuse := func(off int64, what string) error {
-		return fmt.Errorf("store: %s: %s at offset %d: %w (run `aipan debug repair` to truncate to the last good record)",
-			path, what, off, ErrTruncated)
-	}
-
-	var hdr [4]byte
-	var payload []byte
-	var rec Record
-	count := 0
-	off := from
-	for off < to {
-		if to-off < int64(len(hdr)) {
-			return count, refuse(off, "short frame header")
-		}
-		if _, err := io.ReadFull(f, hdr[:]); err != nil {
-			return count, fmt.Errorf("store: reading %s: %w", path, err)
-		}
-		plen := int64(binary.LittleEndian.Uint32(hdr[:]))
-		if plen == 0 || plen > maxFramePayload {
-			return count, refuse(off, fmt.Sprintf("implausible frame length %d", plen))
-		}
-		if off+int64(frameOverhead)+plen > to {
-			return count, refuse(off, "frame extends past end of file")
-		}
-		if int64(cap(payload)) < plen+4 {
-			payload = make([]byte, plen+4)
-		}
-		payload = payload[:plen+4]
-		if _, err := io.ReadFull(f, payload); err != nil {
-			return count, fmt.Errorf("store: reading %s: %w", path, err)
-		}
-		body, sum := payload[:plen], binary.LittleEndian.Uint32(payload[plen:])
-		if crc32.ChecksumIEEE(body) != sum {
-			return count, refuse(off, "frame CRC mismatch")
-		}
-		if err := decodeRecord(body, &rec); err != nil {
-			return count, refuse(off, err.Error())
-		}
-		e := idxEntry{domain: rec.Domain, off: off, n: int(frameOverhead + plen)}
-		if err := fn(e, &rec); err != nil {
-			return count, err
-		}
-		count++
-		off += frameOverhead + plen
-	}
-	return count, nil
-}
-
 // Append frames rec into its domain's segment and records it in the
 // sidecar and the in-memory index.
 func (s *Binary) Append(rec *Record) error {
@@ -312,15 +236,10 @@ func (s *Binary) Append(rec *Record) error {
 	}
 
 	// Assemble the whole frame in the reused buffer so each append is
-	// one write: [len u32][payload][crc u32].
-	buf := append(s.encBuf[:0], 0, 0, 0, 0)
-	buf = appendRecord(buf, rec)
-	plen := len(buf) - 4
-	binary.LittleEndian.PutUint32(buf[:4], uint32(plen))
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(buf[4:]))
-	buf = append(buf, crc[:]...)
-	s.encBuf = buf
+	// one write.
+	s.frame.begin()
+	s.frame.b = appendRecord(s.frame.b, rec)
+	buf := s.frame.seal()
 
 	if _, err := s.bins[i].Write(buf); err != nil {
 		return fmt.Errorf("store: appending %s to %s: %w", rec.Domain, s.binPath(i), err)
@@ -351,13 +270,20 @@ func (s *Binary) ScanShard(i int, fn func(*Record) error) error {
 	if i < 0 || i >= s.shards {
 		return fmt.Errorf("store: shard %d out of range 0..%d", i, s.shards-1)
 	}
+	it, err := s.shardIter(i)
+	if err != nil {
+		return err
+	}
+	return drain(it, fn)
+}
+
+// shardIter reads shard i up to its size at the call, so frames
+// appended meanwhile — possibly still half-written — are not read.
+func (s *Binary) shardIter(i int) (*frameIter[Record], error) {
 	s.mu.Lock()
 	size := s.sizes[i]
 	s.mu.Unlock()
-	_, err := scanFrames(s.binPath(i), 0, size, func(_ idxEntry, rec *Record) error {
-		return fn(rec)
-	})
-	return err
+	return openFrames(s.binPath(i), 0, size, decodeRecord)
 }
 
 // Get is the point lookup: the record for domain via the in-memory
@@ -369,28 +295,21 @@ func (s *Binary) Get(domain string) (*Record, bool, error) {
 	if !ok {
 		return nil, false, nil
 	}
-	f, err := os.Open(s.binPath(loc.shard))
+	end := loc.off + int64(loc.n)
+	it, err := openFrames(s.binPath(loc.shard), loc.off, end, decodeRecord)
 	if err != nil {
-		return nil, false, fmt.Errorf("store: opening %s: %w", s.binPath(loc.shard), err)
-	}
-	defer f.Close()
-	frame := make([]byte, loc.n)
-	if _, err := f.ReadAt(frame, loc.off); err != nil {
-		return nil, false, fmt.Errorf("store: reading %s @%d: %w", s.binPath(loc.shard), loc.off, err)
-	}
-	plen := int(binary.LittleEndian.Uint32(frame[:4]))
-	if plen+frameOverhead != loc.n {
-		return nil, false, fmt.Errorf("store: %s @%d: index and frame disagree on length", s.binPath(loc.shard), loc.off)
-	}
-	body := frame[4 : 4+plen]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(frame[4+plen:]) {
-		return nil, false, fmt.Errorf("store: %s @%d: frame CRC mismatch", s.binPath(loc.shard), loc.off)
-	}
-	rec := new(Record)
-	if err := decodeRecord(body, rec); err != nil {
 		return nil, false, err
 	}
-	return rec, true, nil
+	defer it.close()
+	rec, ok, err := it.next()
+	if err != nil {
+		return nil, false, err
+	}
+	if !ok || it.off != end {
+		return nil, false, fmt.Errorf("store: %s @%d: index and frame disagree on length", s.binPath(loc.shard), loc.off)
+	}
+	cp := *rec
+	return &cp, true, nil
 }
 
 // Len counts the stored records from the shard counters — no scan.

@@ -456,9 +456,49 @@ func TestBinaryRefusesMismatchedReopen(t *testing.T) {
 	if _, err := OpenBinary(dir, 8); err == nil || !strings.Contains(err.Error(), "shards") {
 		t.Fatalf("reopening 4-shard binary store with 8 shards: err = %v, want refusal", err)
 	}
-	// The format stamp keeps a JSONL-sharded open from misreading the dir.
-	if _, err := OpenSharded(dir, 4); err == nil {
-		t.Fatal("OpenSharded accepted a binary store directory")
+}
+
+// TestBinaryRefusesRetiredShardedDir: a directory written by the
+// retired sharded:N JSONL layout (meta.json without a format, records
+// in shard-%02d.jsonl) must be refused by name, not opened as an empty
+// binary store — a --resume over it would silently redo every domain —
+// and its stamp must survive the refusal.
+func TestBinaryRefusesRetiredShardedDir(t *testing.T) {
+	dir := t.TempDir()
+	if err := writeMetaFile(filepath.Join(dir, "meta.json"), Meta{Seed: 3000, Shards: 4}); err != nil {
+		t.Fatal(err)
+	}
+	old, err := OpenJSONL(filepath.Join(dir, "shard-00.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := testRecords(10)
+	for i := range recs {
+		if err := old.Append(&recs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	old.Close()
+	stamp, err := os.ReadFile(filepath.Join(dir, "meta.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for name, open := range map[string]func() (Store, error){
+		"OpenBinary": func() (Store, error) { return OpenBinary(dir, 4) },
+		"OpenSpec":   func() (Store, error) { return OpenSpec("binary:4", dir) },
+	} {
+		if st, err := open(); err == nil {
+			n, _ := st.Len()
+			st.Close()
+			t.Fatalf("%s opened a sharded JSONL directory as a binary store holding %d records", name, n)
+		} else if !strings.Contains(err.Error(), "binary:4") {
+			t.Fatalf("%s refusal %q does not name binary:4", name, err)
+		}
+	}
+	after, err := os.ReadFile(filepath.Join(dir, "meta.json"))
+	if err != nil || string(after) != string(stamp) {
+		t.Fatalf("refused open rewrote the stamp: %s -> %s (err %v)", stamp, after, err)
 	}
 }
 
@@ -539,67 +579,90 @@ func TestJSONLTruncatedFinalRecordRefusal(t *testing.T) {
 	}
 }
 
-// TestEventDirTruncatedTailRefusedAndRepaired: the flight-recorder
-// stream gets the same crash-tail treatment as the dataset stores —
-// scan refuses with ErrTruncated, RepairEventDir truncates to the last
-// good event.
+// TestEventDirTruncatedTailRefusedAndRepaired is the event log's crash
+// matrix: a shard cut at every byte inside its last frame — every torn
+// final append — must scan as ErrTruncated, and RepairEventDir must cut
+// it back to the previous frame boundary, after which Scan returns
+// exactly the events before the torn one.
 func TestEventDirTruncatedTailRefusedAndRepaired(t *testing.T) {
 	dir := t.TempDir()
 	log, err := OpenEventLog(dir, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := log.SetMeta(Meta{Seed: 1}); err != nil {
-		t.Fatal(err)
-	}
-	domains := []string{"a.example.com", "b.example.com", "c.example.com", "d.example.com"}
+	domains := []string{"a.example.com", "b.example.com", "c.example.com", "d.example.com", "e.example.com"}
 	for i, d := range domains {
-		if err := log.Append(&Event{RunID: "run", Seq: i, Domain: d, Outcome: OutcomeAnnotated}); err != nil {
+		if err := log.Append(&Event{RunID: "run", Seq: i, Domain: d, Outcome: OutcomeAnnotated,
+			StageMillis: map[string]int64{"crawl": int64(i)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
+	// The torn shard is the one holding the most events, so the events
+	// before its last frame include some of its own.
+	counts := make([]int, 2)
+	for _, d := range domains {
+		counts[log.shardOf(d)]++
+	}
+	shard := 0
+	if counts[1] > counts[0] {
+		shard = 1
+	}
+	path := log.shardPath(shard)
 	log.Close()
 
-	// Tear the tail of whichever shard file exists first.
-	matches, err := filepath.Glob(filepath.Join(dir, "events-shard-*.jsonl"))
-	if err != nil || len(matches) == 0 {
-		t.Fatalf("no event shards written: %v %v", matches, err)
+	scanAll := func() ([]string, error) {
+		l, err := OpenEventDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		var got []string
+		err = l.Scan(func(ev *Event) error {
+			b, _ := json.Marshal(ev)
+			got = append(got, string(b))
+			return nil
+		})
+		return got, err
 	}
-	torn := []byte(`{"run_id":"run","seq":9,"domai`)
-	f, err := os.OpenFile(matches[0], os.O_WRONLY|os.O_APPEND, 0o644)
+	intact, err := scanAll()
+	if err != nil || len(intact) != len(domains) {
+		t.Fatalf("intact scan: %d events, err = %v", len(intact), err)
+	}
+	orig, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write(torn); err != nil {
-		t.Fatal(err)
+	offs := frameOffsets(t, path)
+	last := offs[len(offs)-1]
+	// Scan order is shard-major, so the torn shard's last event sits at
+	// a known position in the intact scan.
+	lastIdx := len(offs) - 1
+	if shard == 1 {
+		lastIdx = len(intact) - 1
 	}
-	f.Close()
+	want := append(append([]string{}, intact[:lastIdx]...), intact[lastIdx+1:]...)
 
-	reopened, err := OpenEventDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scanErr := reopened.Scan(func(*Event) error { return nil })
-	reopened.Close()
-	if !errors.Is(scanErr, ErrTruncated) {
-		t.Fatalf("scan over torn event tail: err = %v, want ErrTruncated", scanErr)
-	}
-
-	dropped, err := RepairEventDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dropped != int64(len(torn)) {
-		t.Fatalf("RepairEventDir dropped %d bytes, want %d", dropped, len(torn))
-	}
-	reopened, err = OpenEventDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reopened.Close()
-	n := 0
-	if err := reopened.Scan(func(*Event) error { n++; return nil }); err != nil || n != len(domains) {
-		t.Fatalf("after repair: scanned %d events, err = %v; want %d, nil", n, err, len(domains))
+	for cut := last + 1; cut < int64(len(orig)); cut++ {
+		if err := os.WriteFile(path, orig[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := scanAll(); !errors.Is(err, ErrTruncated) {
+			t.Fatalf("cut at %d: scan err = %v, want ErrTruncated", cut, err)
+		}
+		dropped, err := RepairEventDir(dir)
+		if err != nil {
+			t.Fatalf("cut at %d: RepairEventDir: %v", cut, err)
+		}
+		if dropped != cut-last {
+			t.Fatalf("cut at %d: RepairEventDir dropped %d bytes, want %d", cut, dropped, cut-last)
+		}
+		got, err := scanAll()
+		if err != nil {
+			t.Fatalf("cut at %d: scan after repair: %v", cut, err)
+		}
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Fatalf("cut at %d: after repair scanned\n%s\nwant\n%s", cut, strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
 	}
 }
 

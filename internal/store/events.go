@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -96,6 +95,8 @@ type EventSink interface {
 }
 
 // EventStore is a persistent sink that can also replay what it holds.
+// The *Event passed to a scan callback is only valid for the duration
+// of the call.
 type EventStore interface {
 	EventSink
 	// Scan replays all events, shard-major then append order.
@@ -105,88 +106,117 @@ type EventStore interface {
 	Close() error
 }
 
-// ------------------------------------------------------------- sharded log
+// ------------------------------------------------------------ framed log
 
-// EventLog is the on-disk event stream: events-shard-%02d.jsonl files in
-// a directory, events routed by domain hash exactly like the Sharded
-// dataset store, stamped with events-meta.json (a distinct name so an
-// event log can share a directory with a sharded dataset without the
-// stamps colliding). Within a shard, events appear in append order —
-// submission order under the pipeline's serialized delivery — so a
-// same-seed rerun reproduces each shard file byte for byte.
+// EventLog is the on-disk event stream: events-%02d.bin files in a
+// directory, each event's JSON encoding in one CRC frame of the binary
+// store's format (frame.go), routed by domain hash (ShardOf). The shard
+// count is stamped in events-meta.json when the log is created — a
+// distinct name, so an event log can share a directory with a binary
+// dataset store without the stamps colliding. Within a shard, events
+// appear in append order — submission order under the pipeline's
+// serialized delivery — so a same-seed rerun reproduces each shard file
+// byte for byte.
 type EventLog struct {
 	dir    string
 	shards int
 	mu     sync.Mutex
-	files  []*eventShard
-}
-
-type eventShard struct {
-	mu  sync.Mutex
-	f   *os.File
-	buf *bufio.Writer
-	enc *json.Encoder
+	files  []*os.File // lazily opened for append
+	frame  frameBuf   // reused Append frame buffer
+	enc    *json.Encoder
 }
 
 // OpenEventLog opens (or creates) an event log in dir with the given
-// shard count (1..99). Reopening with a different shard count is
-// refused.
+// shard count (1..99), stamping the count on creation. Reopening with a
+// different shard count is refused, as is a directory holding the
+// retired JSONL event layout.
 func OpenEventLog(dir string, shards int) (*EventLog, error) {
 	if shards < 1 || shards > 99 {
 		return nil, fmt.Errorf("store: event shard count %d out of range 1..99", shards)
 	}
+	if err := refuseJSONLEvents(dir); err != nil {
+		return nil, err
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating event dir: %w", err)
 	}
-	l := &EventLog{dir: dir, shards: shards, files: make([]*eventShard, shards)}
-	if m, ok, err := l.Meta(); err != nil {
+	l := &EventLog{dir: dir, shards: shards, files: make([]*os.File, shards)}
+	l.enc = json.NewEncoder(&l.frame)
+	m, ok, err := l.Meta()
+	if err != nil {
 		return nil, err
-	} else if ok && m.Shards != 0 && m.Shards != shards {
+	}
+	if !ok {
+		if err := l.SetMeta(Meta{}); err != nil {
+			return nil, err
+		}
+	} else if m.Shards != shards {
 		return nil, fmt.Errorf("store: event log %s was created with %d shards, reopened with %d",
 			dir, m.Shards, shards)
 	}
 	return l, nil
 }
 
+// refuseJSONLEvents refuses a directory written in the retired
+// events-shard-%02d.jsonl layout.
+func refuseJSONLEvents(dir string) error {
+	old, err := filepath.Glob(filepath.Join(dir, "events-shard-*.jsonl"))
+	if err != nil || len(old) == 0 {
+		return nil
+	}
+	return fmt.Errorf("store: %s holds a flight-recorder log in the retired JSONL layout (%s), which this build no longer reads; re-record it into a fresh directory with `aipan run --events-out`",
+		dir, filepath.Base(old[0]))
+}
+
 func (l *EventLog) shardPath(i int) string {
-	return filepath.Join(l.dir, fmt.Sprintf("events-shard-%02d.jsonl", i))
+	return filepath.Join(l.dir, fmt.Sprintf("events-%02d.bin", i))
 }
 
 func (l *EventLog) shardOf(domain string) int {
 	return ShardOf(domain, l.shards)
 }
 
-// Append routes ev to its domain's shard and flushes it.
+// Append frames ev into its domain's shard with one write.
 func (l *EventLog) Append(ev *Event) error {
 	i := l.shardOf(ev.Domain)
 	l.mu.Lock()
-	sh := l.files[i]
-	if sh == nil {
+	defer l.mu.Unlock()
+	if l.files[i] == nil {
 		f, err := os.OpenFile(l.shardPath(i), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
-			l.mu.Unlock()
 			return fmt.Errorf("store: opening event shard: %w", err)
 		}
-		buf := bufio.NewWriter(f)
-		sh = &eventShard{f: f, buf: buf, enc: json.NewEncoder(buf)}
-		l.files[i] = sh
+		l.files[i] = f
 	}
-	l.mu.Unlock()
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if err := sh.enc.Encode(ev); err != nil {
+	l.frame.begin()
+	if err := l.enc.Encode(ev); err != nil {
+		return fmt.Errorf("store: encoding event for %s: %w", ev.Domain, err)
+	}
+	l.frame.b = l.frame.b[:len(l.frame.b)-1] // Encode's newline is not payload
+	if _, err := l.files[i].Write(l.frame.seal()); err != nil {
 		return fmt.Errorf("store: appending event for %s: %w", ev.Domain, err)
 	}
-	if err := sh.buf.Flush(); err != nil {
-		return fmt.Errorf("store: flushing event shard: %w", err)
-	}
 	return nil
+}
+
+// decodeEvent is the event log's frame payload decoder.
+func decodeEvent(data []byte, ev *Event) error {
+	*ev = Event{}
+	return json.Unmarshal(data, ev)
+}
+
+func (l *EventLog) scanShard(i int, fn func(*Event) error) error {
+	it, err := openFrames(l.shardPath(i), 0, -1, decodeEvent)
+	if err != nil {
+		return err
+	}
+	return drain(it, fn)
 }
 
 // Scan replays every shard in index order (missing files read as empty).
 func (l *EventLog) Scan(fn func(*Event) error) error {
 	for i := 0; i < l.shards; i++ {
-		if err := scanEventFile(l.shardPath(i), fn); err != nil {
+		if err := l.scanShard(i, fn); err != nil {
 			return err
 		}
 	}
@@ -195,7 +225,7 @@ func (l *EventLog) Scan(fn func(*Event) error) error {
 
 // ScanDomain replays only domain's shard, filtering to its events.
 func (l *EventLog) ScanDomain(domain string, fn func(*Event) error) error {
-	return scanEventFile(l.shardPath(l.shardOf(domain)), func(ev *Event) error {
+	return l.scanShard(l.shardOf(domain), func(ev *Event) error {
 		if ev.Domain != domain {
 			return nil
 		}
@@ -215,18 +245,13 @@ func (l *EventLog) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var first error
-	for i, sh := range l.files {
-		if sh == nil {
+	for i, f := range l.files {
+		if f == nil {
 			continue
 		}
-		sh.mu.Lock()
-		if err := sh.buf.Flush(); err != nil && first == nil {
-			first = fmt.Errorf("store: flushing event shard: %w", err)
-		}
-		if err := sh.f.Close(); err != nil && first == nil {
+		if err := f.Close(); err != nil && first == nil {
 			first = fmt.Errorf("store: closing event shard: %w", err)
 		}
-		sh.mu.Unlock()
 		l.files[i] = nil
 	}
 	return first
@@ -243,35 +268,22 @@ func (l *EventLog) SetMeta(m Meta) error {
 	return writeMetaFile(filepath.Join(l.dir, "events-meta.json"), m)
 }
 
-// OpenEventDir opens an existing event directory for reading, inferring
-// the shard count from events-meta.json (falling back to the highest
-// shard index on disk when no stamp exists — shard files are created
-// lazily, so low-index shards may be absent and counting files would
-// undercount). This is the read path `aipan debug events` and `aipan
-// serve --events` use.
+// OpenEventDir opens an existing event directory for reading, with the
+// shard count stamped in its events-meta.json. This is the read path
+// `aipan debug events`, `aipan debug repair --events` and `aipan serve
+// --events` use.
 func OpenEventDir(dir string) (*EventLog, error) {
 	m, ok, err := readMetaFile(filepath.Join(dir, "events-meta.json"))
 	if err != nil {
 		return nil, err
 	}
-	shards := m.Shards
-	if !ok || shards == 0 {
-		matches, err := filepath.Glob(filepath.Join(dir, "events-shard-*.jsonl"))
-		if err != nil || len(matches) == 0 {
-			return nil, fmt.Errorf("store: %s holds no event shards", dir)
+	if !ok {
+		if err := refuseJSONLEvents(dir); err != nil {
+			return nil, err
 		}
-		for _, match := range matches {
-			base := filepath.Base(match)
-			var i int
-			if _, err := fmt.Sscanf(base, "events-shard-%02d.jsonl", &i); err == nil && i+1 > shards {
-				shards = i + 1
-			}
-		}
-		if shards == 0 {
-			return nil, fmt.Errorf("store: %s holds no parseable event shards", dir)
-		}
+		return nil, fmt.Errorf("store: %s holds no flight-recorder log (no events-meta.json)", dir)
 	}
-	return OpenEventLog(dir, shards)
+	return OpenEventLog(dir, m.Shards)
 }
 
 // -------------------------------------------------------------- in-memory
@@ -324,39 +336,3 @@ func (m *MemEvents) Len() (int, error) {
 
 // Close is a no-op.
 func (m *MemEvents) Close() error { return nil }
-
-// ---------------------------------------------------------------- helpers
-
-// scanEventFile streams a JSONL event file through fn; missing files
-// read as empty.
-func scanEventFile(path string, fn func(*Event) error) error {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return fmt.Errorf("store: opening %s: %w", path, err)
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 16<<20)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var ev Event
-		if err := json.Unmarshal(line, &ev); err != nil {
-			return classifyLineErr(sc, path, lineNo, err)
-		}
-		if err := fn(&ev); err != nil {
-			return err
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("store: reading %s: %w", path, err)
-	}
-	return nil
-}

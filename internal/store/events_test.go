@@ -1,9 +1,12 @@
 package store
 
 import (
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -120,13 +123,17 @@ func TestEventLogShardCountMismatchRefused(t *testing.T) {
 	}
 }
 
+// TestEventLogDeterministicBytes: identical runs write identical
+// files, and each shard is exactly its events' json.Marshal encodings
+// in CRC frames, in append order.
 func TestEventLogDeterministicBytes(t *testing.T) {
+	domains := []string{"a.example", "b.example", "c.example"}
 	write := func(dir string) {
 		log, err := OpenEventLog(dir, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, d := range []string{"a.example", "b.example", "c.example"} {
+		for i, d := range domains {
 			if err := log.Append(testEvent(d, i)); err != nil {
 				t.Fatal(err)
 			}
@@ -138,24 +145,38 @@ func TestEventLogDeterministicBytes(t *testing.T) {
 	d1, d2 := t.TempDir(), t.TempDir()
 	write(d1)
 	write(d2)
-	for i := 0; i < 2; i++ {
-		name := filepath.Join(d1, "events-shard-0"+string(rune('0'+i))+".jsonl")
-		b1, err1 := os.ReadFile(name)
-		b2, err2 := os.ReadFile(filepath.Join(d2, filepath.Base(name)))
+	want := map[string][]byte{}
+	for i, d := range domains {
+		payload, err := json.Marshal(testEvent(d, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fb frameBuf
+		fb.begin()
+		fb.b = append(fb.b, payload...)
+		name := fmt.Sprintf("events-%02d.bin", ShardOf(d, 2))
+		want[name] = append(want[name], fb.seal()...)
+	}
+	for _, name := range []string{"events-00.bin", "events-01.bin", "events-meta.json"} {
+		b1, err1 := os.ReadFile(filepath.Join(d1, name))
+		b2, err2 := os.ReadFile(filepath.Join(d2, name))
 		if (err1 == nil) != (err2 == nil) {
-			t.Fatalf("shard %d existence differs: %v vs %v", i, err1, err2)
+			t.Fatalf("%s existence differs: %v vs %v", name, err1, err2)
 		}
 		if string(b1) != string(b2) {
-			t.Errorf("shard %d bytes differ between identical runs", i)
+			t.Errorf("%s bytes differ between identical runs", name)
+		}
+		if w, ok := want[name]; ok && string(b1) != string(w) {
+			t.Errorf("%s is not its events' JSON encodings in CRC frames", name)
 		}
 	}
 }
 
 // TestOpenEventDirLazyShards: shard files are created lazily, so a run
 // whose domains all hash into high shard indexes leaves low-index files
-// absent. Without a meta stamp, OpenEventDir must infer the shard count
-// from the highest index present, not the file count — otherwise the
-// top shard is silently dropped from scans.
+// absent. OpenEventDir must take the shard count from the stamp written
+// at creation, not from the files present — otherwise the top shard is
+// silently dropped from scans.
 func TestOpenEventDirLazyShards(t *testing.T) {
 	dir := t.TempDir()
 	log, err := OpenEventLog(dir, 4)
@@ -181,7 +202,7 @@ func TestOpenEventDirLazyShards(t *testing.T) {
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "events-shard-00.jsonl")); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(dir, "events-00.bin")); !os.IsNotExist(err) {
 		t.Fatalf("precondition failed: shard 00 exists (err=%v), test no longer covers lazy creation", err)
 	}
 
@@ -200,6 +221,33 @@ func TestOpenEventDirLazyShards(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("ScanDomain missed the event (inferred shard count is wrong)")
+	}
+}
+
+// TestOpenEventDirRefusesJSONLLayout: a directory recorded in the
+// retired events-shard-%02d.jsonl layout is refused by every event
+// entry point with a message to re-record it, and nothing is written
+// into it.
+func TestOpenEventDirRefusesJSONLLayout(t *testing.T) {
+	dir := t.TempDir()
+	line, err := json.Marshal(testEvent("a.example", 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "events-shard-02.jsonl"), append(line, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, open := range map[string]func() error{
+		"OpenEventDir":   func() error { _, err := OpenEventDir(dir); return err },
+		"OpenEventLog":   func() error { _, err := OpenEventLog(dir, 4); return err },
+		"RepairEventDir": func() error { _, err := RepairEventDir(dir); return err },
+	} {
+		if err := open(); err == nil || !strings.Contains(err.Error(), "re-record") {
+			t.Fatalf("%s over a JSONL event dir: err = %v, want a refusal asking to re-record", name, err)
+		}
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Fatalf("refused opens wrote into the directory: %v", entries)
 	}
 }
 

@@ -3,13 +3,9 @@ package store
 import (
 	"bufio"
 	"container/heap"
-	"encoding/binary"
 	"encoding/csv"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -26,7 +22,7 @@ import (
 // normal path; a store whose shards turn out unsorted falls back to
 // materialize-and-sort.
 
-// ShardView is the incremental-read interface over a sharded backend:
+// ShardView is the incremental-read interface over a store's shards:
 // shards can be scanned independently, and ShardStamp is a cheap change
 // stamp per shard — unchanged stamp means unchanged content for the
 // append-only backends this package ships, which is what lets the
@@ -64,20 +60,6 @@ func (s *JSONL) ScanShard(i int, fn func(*Record) error) error {
 // ShardStamp implements ShardView.
 func (s *JSONL) ShardStamp(i int) (string, error) { return fileStamp(s.path) }
 
-// NumShards implements ShardView.
-func (s *Sharded) NumShards() int { return s.shards }
-
-// ShardStamp implements ShardView.
-func (s *Sharded) ShardStamp(i int) (string, error) { return fileStamp(s.shardPath(i)) }
-
-// ScanShard implements ShardView.
-func (s *Sharded) ScanShard(i int, fn func(*Record) error) error {
-	if i < 0 || i >= s.shards {
-		return fmt.Errorf("store: shard %d out of range 0..%d", i, s.shards-1)
-	}
-	return scanFile(s.shardPath(i), fn)
-}
-
 // NumShards implements ShardView (the in-memory store is one shard).
 func (s *Mem) NumShards() int { return 1 }
 
@@ -107,90 +89,18 @@ func (s *Binary) ShardStamp(i int) (string, error) { return fileStamp(s.binPath(
 // errShardDisorder aborts a merge whose input shards are not sorted.
 var errShardDisorder = errors.New("store: shard is not in domain order")
 
-// recordIter pulls one shard's records in append order. The returned
-// *Record is only valid until the following next call.
-type recordIter interface {
-	next() (*Record, bool, error)
-	close() error
-}
-
 // shardIterStore is the internal seam sortedScan merges through; all
 // shipped backends implement it.
 type shardIterStore interface {
-	shardIters() ([]recordIter, error)
+	shardIters() ([]iter[Record], error)
 }
 
-// jsonlIter pulls records off one JSONL file.
-type jsonlIter struct {
-	f   *os.File
-	sc  *bufio.Scanner
-	rec Record
-	// path and lineNo feed error messages.
-	path   string
-	lineNo int
-}
-
-func newJSONLIter(path string) (*jsonlIter, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return &jsonlIter{path: path}, nil // iterates as empty
-		}
-		return nil, fmt.Errorf("store: opening %s: %w", path, err)
-	}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 16<<20)
-	return &jsonlIter{f: f, sc: sc, path: path}, nil
-}
-
-func (it *jsonlIter) next() (*Record, bool, error) {
-	if it.sc == nil {
-		return nil, false, nil
-	}
-	for it.sc.Scan() {
-		it.lineNo++
-		line := it.sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		it.rec = Record{}
-		if err := json.Unmarshal(line, &it.rec); err != nil {
-			return nil, false, classifyLineErr(it.sc, it.path, it.lineNo, err)
-		}
-		return &it.rec, true, nil
-	}
-	if err := it.sc.Err(); err != nil {
-		return nil, false, fmt.Errorf("store: reading %s: %w", it.path, err)
-	}
-	return nil, false, nil
-}
-
-func (it *jsonlIter) close() error {
-	if it.f == nil {
-		return nil
-	}
-	return it.f.Close()
-}
-
-func (s *JSONL) shardIters() ([]recordIter, error) {
-	it, err := newJSONLIter(s.path)
+func (s *JSONL) shardIters() ([]iter[Record], error) {
+	it, err := openJSONLIter(s.path, false)
 	if err != nil {
 		return nil, err
 	}
-	return []recordIter{it}, nil
-}
-
-func (s *Sharded) shardIters() ([]recordIter, error) {
-	out := make([]recordIter, 0, s.shards)
-	for i := 0; i < s.shards; i++ {
-		it, err := newJSONLIter(s.shardPath(i))
-		if err != nil {
-			closeIters(out)
-			return nil, err
-		}
-		out = append(out, it)
-	}
-	return out, nil
+	return []iter[Record]{it}, nil
 }
 
 // memIter pulls records off a snapshot of the in-memory store.
@@ -210,91 +120,17 @@ func (it *memIter) next() (*Record, bool, error) {
 
 func (it *memIter) close() error { return nil }
 
-func (s *Mem) shardIters() ([]recordIter, error) {
+func (s *Mem) shardIters() ([]iter[Record], error) {
 	s.mu.RLock()
 	recs := s.recs
 	s.mu.RUnlock()
-	return []recordIter{&memIter{recs: recs}}, nil
+	return []iter[Record]{&memIter{recs: recs}}, nil
 }
 
-// binaryIter pulls frames off one segment file.
-type binaryIter struct {
-	f       *os.File
-	r       *bufio.Reader
-	path    string
-	off     int64
-	size    int64
-	payload []byte
-	rec     Record
-}
-
-func newBinaryIter(path string) (*binaryIter, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return &binaryIter{path: path}, nil
-		}
-		return nil, fmt.Errorf("store: opening %s: %w", path, err)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		_ = f.Close()
-		return nil, fmt.Errorf("store: statting %s: %w", path, err)
-	}
-	return &binaryIter{f: f, r: bufio.NewReaderSize(f, 1<<20), path: path, size: st.Size()}, nil
-}
-
-func (it *binaryIter) next() (*Record, bool, error) {
-	if it.f == nil || it.off >= it.size {
-		return nil, false, nil
-	}
-	refuse := func(what string) error {
-		return fmt.Errorf("store: %s: %s at offset %d: %w (run `aipan debug repair` to truncate to the last good record)",
-			it.path, what, it.off, ErrTruncated)
-	}
-	var hdr [4]byte
-	if it.size-it.off < int64(len(hdr)) {
-		return nil, false, refuse("short frame header")
-	}
-	if _, err := io.ReadFull(it.r, hdr[:]); err != nil {
-		return nil, false, fmt.Errorf("store: reading %s: %w", it.path, err)
-	}
-	plen := int64(binary.LittleEndian.Uint32(hdr[:]))
-	if plen == 0 || plen > maxFramePayload {
-		return nil, false, refuse(fmt.Sprintf("implausible frame length %d", plen))
-	}
-	if it.off+frameOverhead+plen > it.size {
-		return nil, false, refuse("frame extends past end of file")
-	}
-	if int64(cap(it.payload)) < plen+4 {
-		it.payload = make([]byte, plen+4)
-	}
-	it.payload = it.payload[:plen+4]
-	if _, err := io.ReadFull(it.r, it.payload); err != nil {
-		return nil, false, fmt.Errorf("store: reading %s: %w", it.path, err)
-	}
-	body := it.payload[:plen]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(it.payload[plen:]) {
-		return nil, false, refuse("frame CRC mismatch")
-	}
-	if err := decodeRecord(body, &it.rec); err != nil {
-		return nil, false, refuse(err.Error())
-	}
-	it.off += frameOverhead + plen
-	return &it.rec, true, nil
-}
-
-func (it *binaryIter) close() error {
-	if it.f == nil {
-		return nil
-	}
-	return it.f.Close()
-}
-
-func (s *Binary) shardIters() ([]recordIter, error) {
-	out := make([]recordIter, 0, s.shards)
+func (s *Binary) shardIters() ([]iter[Record], error) {
+	out := make([]iter[Record], 0, s.shards)
 	for i := 0; i < s.shards; i++ {
-		it, err := newBinaryIter(s.binPath(i))
+		it, err := s.shardIter(i)
 		if err != nil {
 			closeIters(out)
 			return nil, err
@@ -304,7 +140,7 @@ func (s *Binary) shardIters() ([]recordIter, error) {
 	return out, nil
 }
 
-func closeIters(iters []recordIter) {
+func closeIters(iters []iter[Record]) {
 	for _, it := range iters {
 		_ = it.close()
 	}
@@ -329,9 +165,9 @@ func (h mergeHeap) Less(i, j int) bool {
 	}
 	return h[i].shard < h[j].shard
 }
-func (h mergeHeap) Swap(i, j int)  { h[i], h[j] = h[j], h[i] }
-func (h *mergeHeap) Push(x any)    { *h = append(*h, x.(mergeHead)) }
-func (h *mergeHeap) Pop() any      { old := *h; x := old[len(old)-1]; *h = old[:len(old)-1]; return x }
+func (h mergeHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *mergeHeap) Push(x any)   { *h = append(*h, x.(mergeHead)) }
+func (h *mergeHeap) Pop() any     { old := *h; x := old[len(old)-1]; *h = old[:len(old)-1]; return x }
 
 // sortedScan streams the store's records in ascending domain order
 // with O(shards) memory: shards merge through a heap of their head

@@ -1,16 +1,10 @@
 package store
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 )
 
 // This file is the truncate-to-last-good recovery path behind the
@@ -25,55 +19,21 @@ import (
 // OpenSpec takes), returning the number of bytes truncated. A missing
 // file repairs as a no-op; "mem" has nothing to repair.
 func Repair(spec, path string) (dropped int64, err error) {
-	switch {
-	case spec == "" || spec == "jsonl":
-		return repairJSONLTail(path, recordParses)
-	case strings.HasPrefix(spec, "sharded:"):
-		n, err := strconv.Atoi(strings.TrimPrefix(spec, "sharded:"))
-		if err != nil {
-			return 0, fmt.Errorf("store: bad shard count in %q (want sharded:N)", spec)
-		}
-		total := int64(0)
-		for i := 0; i < n; i++ {
-			d, err := repairJSONLTail(filepath.Join(path, fmt.Sprintf("shard-%02d.jsonl", i)), recordParses)
-			if err != nil {
-				return total, err
-			}
-			total += d
-		}
-		return total, nil
-	case strings.HasPrefix(spec, "binary:"):
-		n, err := strconv.Atoi(strings.TrimPrefix(spec, "binary:"))
-		if err != nil {
-			return 0, fmt.Errorf("store: bad shard count in %q (want binary:N)", spec)
-		}
-		total := int64(0)
-		for i := 0; i < n; i++ {
-			d, err := repairBinaryShard(
-				filepath.Join(path, fmt.Sprintf("seg-%02d.bin", i)),
-				filepath.Join(path, fmt.Sprintf("seg-%02d.idx", i)))
-			if err != nil {
-				return total, err
-			}
-			total += d
-		}
-		return total, nil
-	case spec == "mem":
+	switch spec {
+	case "", "jsonl":
+		return repairJSONL(path)
+	case "mem":
 		return 0, errors.New("store: the in-memory backend has nothing to repair")
 	}
-	return 0, fmt.Errorf("store: unknown backend %q (jsonl, sharded:N, binary:N)", spec)
-}
-
-// RepairEventDir repairs every event shard in dir, returning the bytes
-// truncated.
-func RepairEventDir(dir string) (int64, error) {
-	matches, err := filepath.Glob(filepath.Join(dir, "events-shard-*.jsonl"))
+	n, err := binaryShards(spec)
 	if err != nil {
-		return 0, fmt.Errorf("store: listing event shards in %s: %w", dir, err)
+		return 0, err
 	}
 	total := int64(0)
-	for _, path := range matches {
-		d, err := repairJSONLTail(path, eventParses)
+	for i := 0; i < n; i++ {
+		d, err := repairBinaryShard(
+			filepath.Join(path, fmt.Sprintf("seg-%02d.bin", i)),
+			filepath.Join(path, fmt.Sprintf("seg-%02d.idx", i)))
 		if err != nil {
 			return total, err
 		}
@@ -82,62 +42,47 @@ func RepairEventDir(dir string) (int64, error) {
 	return total, nil
 }
 
-func recordParses(line []byte) bool {
-	var r Record
-	return json.Unmarshal(line, &r) == nil
-}
-
-func eventParses(line []byte) bool {
-	var ev Event
-	return json.Unmarshal(line, &ev) == nil
-}
-
-// repairJSONLTail truncates a JSONL file back to the end of its last
-// newline-terminated line that parses, dropping everything after.
-func repairJSONLTail(path string, parses func([]byte) bool) (int64, error) {
-	f, err := os.Open(path)
+// RepairEventDir truncates every shard of the event log in dir back to
+// its last good frame, returning the bytes truncated.
+func RepairEventDir(dir string) (int64, error) {
+	l, err := OpenEventDir(dir)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return 0, nil
-		}
-		return 0, fmt.Errorf("store: opening %s: %w", path, err)
+		return 0, err
 	}
-	r := bufio.NewReaderSize(f, 1<<20)
-	good := int64(0)
-	off := int64(0)
-	for {
-		line, err := r.ReadBytes('\n')
-		if len(line) > 0 {
-			complete := len(line) > 0 && line[len(line)-1] == '\n'
-			trimmed := bytes.TrimSpace(line)
-			if complete && (len(trimmed) == 0 || parses(trimmed)) {
-				off += int64(len(line))
-				good = off
-			} else {
-				break // bad (or unterminated) tail begins at good
-			}
-		}
-		if err == io.EOF {
-			break
-		}
+	defer l.Close()
+	total := int64(0)
+	for i := 0; i < l.shards; i++ {
+		d, err := repairFrames(l.shardPath(i), decodeEvent, nil)
 		if err != nil {
-			_ = f.Close()
-			return 0, fmt.Errorf("store: reading %s: %w", path, err)
+			return total, err
 		}
+		total += d
 	}
-	st, err := f.Stat()
+	return total, nil
+}
+
+// repairJSONL truncates a JSONL file back to the end of its last
+// newline-terminated line that parses, dropping everything after.
+func repairJSONL(path string) (int64, error) {
+	it, err := openJSONLIter(path, false)
 	if err != nil {
-		_ = f.Close()
+		return 0, err
+	}
+	if err := drain(it, func(*Record) error { return nil }); err != nil && !it.bad {
+		return 0, err
+	}
+	if it.f == nil {
+		return 0, nil // missing file
+	}
+	st, err := os.Stat(path)
+	if err != nil {
 		return 0, fmt.Errorf("store: statting %s: %w", path, err)
 	}
-	if err := f.Close(); err != nil {
-		return 0, fmt.Errorf("store: closing %s: %w", path, err)
-	}
-	dropped := st.Size() - good
+	dropped := st.Size() - it.good
 	if dropped <= 0 {
 		return 0, nil
 	}
-	if err := os.Truncate(path, good); err != nil {
+	if err := os.Truncate(path, it.good); err != nil {
 		return 0, fmt.Errorf("store: truncating %s: %w", path, err)
 	}
 	return dropped, nil
@@ -146,46 +91,18 @@ func repairJSONLTail(path string, parses func([]byte) bool) (int64, error) {
 // repairBinaryShard truncates a segment file back to the end of its
 // last valid frame and rewrites the sidecar to match.
 func repairBinaryShard(binPath, idxPath string) (int64, error) {
-	st, err := os.Stat(binPath)
-	if err != nil {
+	if _, err := os.Stat(binPath); err != nil {
 		if os.IsNotExist(err) {
 			return 0, nil
 		}
 		return 0, fmt.Errorf("store: statting %s: %w", binPath, err)
 	}
 	var entries []idxEntry
-	good := int64(0)
-	_, scanErr := scanFrames(binPath, 0, st.Size(), func(e idxEntry, _ *Record) error {
-		entries = append(entries, e)
-		good = e.off + int64(e.n)
-		return nil
+	dropped, err := repairFrames(binPath, decodeRecord, func(rec *Record, at, end int64) {
+		entries = append(entries, idxEntry{domain: rec.Domain, off: at, n: int(end - at)})
 	})
-	if scanErr != nil && !errors.Is(scanErr, ErrTruncated) {
-		return 0, scanErr
+	if err != nil {
+		return 0, err
 	}
-	dropped := st.Size() - good
-	if dropped > 0 {
-		if err := os.Truncate(binPath, good); err != nil {
-			return 0, fmt.Errorf("store: truncating %s: %w", binPath, err)
-		}
-	}
-	if err := writeIdx(idxPath, entries); err != nil {
-		return dropped, err
-	}
-	return dropped, nil
-}
-
-// classifyLineErr wraps a JSONL line-decode failure. A failure on the
-// file's final non-empty line is the signature of a crash mid-append,
-// so it wraps ErrTruncated (errors.Is-matchable) with a repair hint;
-// a failure with more records behind it is mid-file corruption and
-// reports plainly. sc is the scanner positioned just past the bad line.
-func classifyLineErr(sc *bufio.Scanner, path string, lineNo int, cause error) error {
-	for sc.Scan() {
-		if len(bytes.TrimSpace(sc.Bytes())) != 0 {
-			return fmt.Errorf("store: %s line %d: %w", path, lineNo, cause)
-		}
-	}
-	return fmt.Errorf("store: %s line %d: %w: %w (run `aipan debug repair` to truncate to the last good record)",
-		path, lineNo, cause, ErrTruncated)
+	return dropped, writeIdx(idxPath, entries)
 }

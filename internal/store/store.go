@@ -86,56 +86,16 @@ func WriteJSONL(path string, records []Record) error {
 
 // ReadJSONL loads a dataset written by WriteJSONL.
 func ReadJSONL(path string) ([]Record, error) {
-	f, err := os.Open(path)
+	it, err := openJSONLIter(path, true)
 	if err != nil {
-		return nil, fmt.Errorf("store: opening %s: %w", path, err)
-	}
-	defer f.Close()
-	var out []Record
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 16<<20)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var r Record
-		if err := json.Unmarshal(line, &r); err != nil {
-			return nil, fmt.Errorf("store: %s line %d: %w", path, lineNo, err)
-		}
-		out = append(out, r)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("store: reading %s: %w", path, err)
-	}
-	return out, nil
-}
-
-// LoadCheckpoint reads a checkpoint written by a JSONL store; a missing
-// file returns an empty slice (fresh start).
-func LoadCheckpoint(path string) ([]Record, error) {
-	recs, err := ReadJSONL(path)
-	if err != nil {
-		if os.IsNotExist(errUnwrapAll(err)) {
-			return nil, nil
-		}
 		return nil, err
 	}
-	return recs, nil
-}
-
-func errUnwrapAll(err error) error {
-	for {
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return err
-		}
-		next := u.Unwrap()
-		if next == nil {
-			return err
-		}
-		err = next
+	var out []Record
+	if err := drain(it, func(r *Record) error {
+		out = append(out, *r)
+		return nil
+	}); err != nil {
+		return nil, err
 	}
+	return out, nil
 }

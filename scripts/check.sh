@@ -36,6 +36,13 @@ go test -race ./internal/engine/... ./internal/core/... ./internal/obs/... ./int
 echo "==> go test ./..."
 go test ./...
 
+echo "==> perfbench: go vet + go test (the benchmark harness's own module)"
+# perfbench/ is a separate module compiled against store, server, core
+# and dispatch; building it here makes an API change that breaks the
+# benchmark fail tier-1 instead of only the benchmark run.
+go -C perfbench vet ./...
+go -C perfbench test ./...
+
 echo "==> funnel allocation ceiling (BenchmarkFigure1PipelineFunnel <= ${AIPAN_FUNNEL_ALLOC_CEILING:=400000} allocs/op)"
 # Wall-clock on this box swings ±15% run to run, so the gate pins the
 # allocation count instead: it is deterministic for a fixed workload and
