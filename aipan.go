@@ -104,9 +104,6 @@ type (
 	// Logger is the leveled, structured key=value logger. Pass one via
 	// PipelineConfig.Logger; nil disables logging.
 	Logger = obs.Logger
-	// TraceSummary is the per-run stage tree (wall-time aggregates)
-	// attached to RunResult.Trace.
-	TraceSummary = obs.TraceSummary
 )
 
 // DefaultMetrics returns the process-wide metrics registry that all

@@ -696,7 +696,7 @@ func cmdServe(args []string) error {
 	fs.IntVar(&sf.burst, "burst", 100, "per-client burst allowance (0 derives it from --rps)")
 	fs.IntVar(&sf.maxInflight, "max-inflight", 256, "concurrent requests admitted before shedding with 503")
 	fs.DurationVar(&sf.requestTimeout, "request-timeout", 15*time.Second, "per-request handler deadline")
-	fs.IntVar(&sf.cacheSize, "cache-size", 1024, "response cache capacity in entries (0 disables)")
+	fs.IntVar(&sf.cacheSize, "cache-size", 1024, "response cache capacity in entries (0 disables the cache; ETags stay on)")
 	fs.DurationVar(&sf.drainTimeout, "drain-timeout", 10*time.Second, "graceful-shutdown window for in-flight requests")
 	eventsDir := fs.String("events", "",
 		"flight-recorder directory from a --events-out run; enables /v1/events and /v1/domains/{domain}/provenance")

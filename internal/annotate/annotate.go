@@ -121,13 +121,6 @@ func WithRegistry(reg *obs.Registry) Option {
 	return func(a *Annotator) { a.reg = reg; a.met = newAnnMetrics(reg) }
 }
 
-// WithClock replaces the annotator's time source for its latency metrics
-// (default obs.SystemClock). Annotation content never reads the clock —
-// that is the determinism contract aipanvet enforces.
-func WithClock(clock obs.Clock) Option {
-	return func(a *Annotator) { a.clock = clock }
-}
-
 // Annotator runs the §3.2.2 annotation tasks through a chatbot.
 type Annotator struct {
 	bot          chatbot.Chatbot
@@ -136,13 +129,12 @@ type Annotator struct {
 	sectionFirst bool
 	reg          *obs.Registry
 	met          *annMetrics
-	clock        obs.Clock
 	aspects      *engine.Stage[aspectCall, Result]
 }
 
-// annMetrics instruments the per-aspect annotation chains.
+// annMetrics instruments the per-aspect annotation chains; each chain's
+// wall time is its annotate.<aspect> span's.
 type annMetrics struct {
-	aspectDur *obs.HistogramVec // by aspect
 	dropped   *obs.Counter
 	fallbacks *obs.CounterVec // by aspect
 }
@@ -152,8 +144,6 @@ func newAnnMetrics(reg *obs.Registry) *annMetrics {
 		reg = obs.Default()
 	}
 	return &annMetrics{
-		aspectDur: reg.HistogramVec("aipan_annotate_aspect_duration_seconds",
-			"Wall time of one aspect's annotation chain (extract, filter, normalize).", nil, "aspect"),
 		dropped: reg.Counter("aipan_annotate_hallucination_dropped_total",
 			"Mentions removed by the verbatim-presence hallucination filter."),
 		fallbacks: reg.CounterVec("aipan_annotate_fallbacks_total",
@@ -163,20 +153,18 @@ func newAnnMetrics(reg *obs.Registry) *annMetrics {
 
 // New builds an Annotator around a chatbot backend.
 func New(bot chatbot.Chatbot, opts ...Option) *Annotator {
-	a := &Annotator{bot: bot, glossarySize: 0, verify: true, sectionFirst: true, clock: obs.SystemClock}
+	a := &Annotator{bot: bot, glossarySize: 0, verify: true, sectionFirst: true}
 	for _, o := range opts {
 		o(a)
 	}
 	if a.met == nil {
 		a.met = newAnnMetrics(nil)
 	}
-	a.aspects = engine.NewStage(a.reg, "annotate", engine.Policy{Workers: engine.Unbounded},
+	a.aspects = engine.NewStage(a.reg, "annotate", engine.Unbounded,
 		func(ctx context.Context, call aspectCall) (Result, error) {
 			partial := Result{FallbackUsed: map[string]bool{}}
 			actx, span := obs.StartSpan(ctx, "annotate."+call.name)
-			start := a.clock()
 			err := call.fn(actx, call.dc, &partial)
-			a.met.aspectDur.With(call.name).Observe(a.clock().Sub(start).Seconds())
 			span.End()
 			return partial, err
 		})

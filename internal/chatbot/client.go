@@ -34,15 +34,14 @@ type Client struct {
 	cacheHits   int
 	failedCalls int
 	met         *clientMetrics
-	clock       obs.Clock
 }
 
-// clientMetrics is the client's instrument set: call latency per task,
-// outcome counters, retry/backoff attempts, token totals, and the
-// in-flight gauge to read against the configured concurrency bound.
+// clientMetrics is the client's instrument set: outcome counters,
+// retry/backoff attempts, token totals, and the in-flight gauge to read
+// against the configured concurrency bound. Call latency is the
+// chatbot.call span's.
 type clientMetrics struct {
-	callDur   *obs.HistogramVec // by task
-	calls     *obs.CounterVec   // by result (ok, error)
+	calls     *obs.CounterVec // by result (ok, error)
 	cacheHits *obs.Counter
 	retries   *obs.Counter
 	inflight  *obs.Gauge
@@ -54,8 +53,6 @@ func newClientMetrics(reg *obs.Registry) *clientMetrics {
 		reg = obs.Default()
 	}
 	return &clientMetrics{
-		callDur: reg.HistogramVec("aipan_chatbot_call_duration_seconds",
-			"Chatbot completion latency (including retries and backoff) by task.", nil, "task"),
 		calls: reg.CounterVec("aipan_chatbot_calls_total",
 			"Chatbot completions by result (cache hits not included).", "result"),
 		cacheHits: reg.Counter("aipan_chatbot_cache_hits_total",
@@ -106,12 +103,6 @@ func WithRegistry(reg *obs.Registry) ClientOption {
 	return func(c *Client) { c.met = newClientMetrics(reg) }
 }
 
-// WithClock replaces the client's time source for its latency metrics
-// (default obs.SystemClock).
-func WithClock(clock obs.Clock) ClientOption {
-	return func(c *Client) { c.clock = clock }
-}
-
 // NewClient wraps bot.
 func NewClient(bot Chatbot, opts ...ClientOption) *Client {
 	c := &Client{
@@ -121,7 +112,6 @@ func NewClient(bot Chatbot, opts ...ClientOption) *Client {
 		retryDelay: 50 * time.Millisecond,
 		cache:      map[string]Response{},
 		cacheOn:    true,
-		clock:      obs.SystemClock,
 	}
 	for _, o := range opts {
 		o(c)
@@ -165,13 +155,11 @@ func (c *Client) Complete(ctx context.Context, req Request) (Response, error) {
 	defer c.lim.Release()
 	c.met.inflight.Inc()
 	defer c.met.inflight.Dec()
-	// The span covers the backend call including retries (cache hits
-	// return above without one); the task attribute keys the exported
-	// record the same way the latency histogram is keyed.
+	// The span times the backend call including retries (cache hits
+	// return above without one); its task attribute breaks the exported
+	// records down by task.
 	_, span := obs.StartSpanWith(ctx, "chatbot.call", obs.A("task", req.Task))
 	defer span.End()
-	start := c.clock()
-	defer func() { c.met.callDur.With(req.Task).Observe(c.clock().Sub(start).Seconds()) }()
 
 	var resp Response
 	var err error

@@ -20,7 +20,8 @@ func funnelGauge(reg *obs.Registry, stage string) float64 {
 // returned core.Result.Funnel field for field.
 func TestFunnelMetricsMatchResult(t *testing.T) {
 	reg := obs.NewRegistry()
-	p, err := New(Config{Limit: 30, Workers: 4, Registry: reg})
+	spans := &spanCollector{}
+	p, err := New(Config{Limit: 30, Workers: 4, Registry: reg, TraceExporter: spans})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,25 +50,20 @@ func TestFunnelMetricsMatchResult(t *testing.T) {
 		}
 	}
 
-	// The run also attaches a stage trace rooted at "run" with the
-	// domain → crawl/page hierarchy underneath.
-	if res.Trace == nil || len(res.Trace.Stages) == 0 {
-		t.Fatal("result carries no trace summary")
+	// The run exports one root "run" span with a domain span per domain
+	// under it, and the stage histogram counts the same spans.
+	paths := map[string]int{}
+	for _, rec := range spans.recs {
+		paths[rec.Path]++
 	}
-	if res.Trace.Stages[0].Name != "run" || res.Trace.Stages[0].Count != 1 {
-		t.Fatalf("trace root: %+v", res.Trace.Stages[0])
+	if paths["run"] != 1 || paths["run/domain"] != 30 {
+		t.Errorf("exported %d run and %d run/domain spans, want 1 and 30", paths["run"], paths["run/domain"])
 	}
-	var sawDomain bool
-	for _, s := range res.Trace.Stages[0].Children {
-		if s.Name == "domain" {
-			sawDomain = true
-			if s.Count != 30 {
-				t.Errorf("domain span count = %d, want 30", s.Count)
-			}
+	stages := reg.HistogramVec(obs.StageDurationMetric, "", nil, "stage")
+	for stage, want := range map[string]uint64{"run": 1, "domain": 30} {
+		if got := stages.With(stage).Count(); got != want {
+			t.Errorf("%s{stage=%q} count = %d, want %d", obs.StageDurationMetric, stage, got, want)
 		}
-	}
-	if !sawDomain {
-		t.Error("trace has no domain stage")
 	}
 
 	// Pipeline throughput counters match the work actually done.

@@ -130,9 +130,11 @@ type Config struct {
 	// by default so same-seed exports are byte-identical — the
 	// determinism property check.sh's telemetry smoke asserts.
 	TelemetryTimings bool
-	// Clock is the tracer's time source (default obs.SystemClock): span
-	// durations, and through them the flight recorder's wall-clock
-	// fields under TelemetryTimings.
+	// Clock is the one clock the pipeline reads (default
+	// obs.SystemClock), through the run's tracer: every span duration —
+	// the crawler's fetches, the chatbot calls and the annotate aspects
+	// included — and through them the stage histogram and the flight
+	// recorder's wall-clock fields under TelemetryTimings.
 	Clock obs.Clock
 }
 
@@ -221,11 +223,6 @@ type Result struct {
 	// live only in the configured store).
 	Records []store.Record
 	Funnel  Funnel
-	// Trace is the per-run stage tree with aggregated wall times. It is
-	// observability metadata, not dataset content: it is never persisted
-	// alongside the records and is excluded from determinism
-	// comparisons (span durations vary run to run).
-	Trace *obs.TraceSummary
 }
 
 // New builds a pipeline.
@@ -297,13 +294,13 @@ func New(cfg Config) (*Pipeline, error) {
 	// unbounded (page count per domain is small and each page is an
 	// independent extract→segment→annotate chain; the chatbot client's
 	// limiter is the real throttle).
-	p.procStage = engine.NewStage(cfg.Registry, "process", engine.Policy{Workers: cfg.Workers},
+	p.procStage = engine.NewStage(cfg.Registry, "process", cfg.Workers,
 		func(ctx context.Context, d russell.DomainInfo) (domainOutcome, error) {
 			rec, ev := p.processDomain(ctx, d)
 			p.met.domains.Inc()
 			return domainOutcome{rec: rec, ev: ev}, nil
 		})
-	p.pageStage = engine.NewStage(cfg.Registry, "page", engine.Policy{Workers: engine.Unbounded},
+	p.pageStage = engine.NewStage(cfg.Registry, "page", engine.Unbounded,
 		p.processPage)
 	return p, nil
 }
@@ -346,9 +343,9 @@ func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
 		records = make([]store.Record, len(domains))
 	}
 
-	// One tracer per run; spans started anywhere below nest into its
-	// stage tree, which is attached to the Result as Trace. With an
-	// exporter configured, completed spans also stream to it — with
+	// One tracer per run, reading Config.Clock: every span started below
+	// times its region into the stage histogram. With an exporter
+	// configured, completed spans also stream to it — with
 	// deterministic IDs unless the caller asked for wall timings.
 	topts := []obs.TracerOption{obs.WithRunID(p.cfg.RunID), obs.WithTracerClock(p.cfg.Clock)}
 	if p.cfg.TraceExporter != nil {
@@ -528,7 +525,6 @@ func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
 	res := &Result{Records: records}
 	res.Funnel = p.funnelFromCells(cells)
 	p.met.setFunnel(res.Funnel)
-	res.Trace = tracer.Summary()
 	p.log.Info("run complete", "domains", len(domains),
 		"crawl_ok", res.Funnel.CrawlOK, "extract_ok", res.Funnel.ExtractOK,
 		"annotated", res.Funnel.Annotated)

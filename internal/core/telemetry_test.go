@@ -2,8 +2,11 @@ package core
 
 import (
 	"context"
+	"math"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -142,8 +145,10 @@ func (c *spanCollector) Close() error { return nil }
 
 // TestEventTimingsComeFromSpans: in timed mode the flight recorder's
 // wall-clock fields are the exported spans' durations, not a second
-// measurement. The clock advances on every read, so any clock read of
-// its own between the span ends would show up as a mismatch.
+// measurement, and the stage histogram is the run's only latency
+// family, fed by the same spans. The clock advances on every read, so
+// any clock read of its own between the span ends would show up as a
+// mismatch.
 func TestEventTimingsComeFromSpans(t *testing.T) {
 	var mu sync.Mutex
 	now := time.Unix(1_700_000_000, 0)
@@ -153,14 +158,16 @@ func TestEventTimingsComeFromSpans(t *testing.T) {
 		now = now.Add(3 * time.Millisecond)
 		return now
 	}
+	reg := obs.NewRegistry()
 	spans := &spanCollector{}
 	events := store.NewMemEvents()
 	p, err := New(Config{Limit: 6, Workers: 1, TelemetryTimings: true, Clock: clock,
-		TraceExporter: spans, Events: events})
+		Registry: reg, TraceExporter: spans, Events: events})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Run(context.Background()); err != nil {
+	res, err := p.Run(context.Background())
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -203,4 +210,66 @@ func TestEventTimingsComeFromSpans(t *testing.T) {
 	if n != 6 {
 		t.Fatalf("recorded %d events, want 6", n)
 	}
+
+	// One latency family: every histogram in the registry is the stage
+	// histogram, and each stage series holds exactly the exported spans
+	// of that name.
+	expo := reg.Expose()
+	for _, line := range strings.Split(expo, "\n") {
+		if strings.HasPrefix(line, "# TYPE ") && strings.HasSuffix(line, " histogram") &&
+			line != "# TYPE "+obs.StageDurationMetric+" histogram" {
+			t.Errorf("second latency family: %s", line)
+		}
+	}
+	spanCount := map[string]uint64{}
+	spanSecs := map[string]float64{}
+	for _, rec := range spans.recs {
+		spanCount[rec.Name]++
+		spanSecs[rec.Name] += time.Duration(rec.DurationNanos).Seconds()
+	}
+	seriesCount := sampleValues(expo, obs.StageDurationMetric+"_count")
+	if len(seriesCount) != len(spanCount) {
+		t.Errorf("stage series %v, exported span names %v", seriesCount, spanCount)
+	}
+	stages := reg.HistogramVec(obs.StageDurationMetric, "", nil, "stage")
+	for name, count := range spanCount {
+		h := stages.With(name)
+		if h.Count() != count {
+			t.Errorf("stage %q: histogram count %d, %d spans exported", name, h.Count(), count)
+		}
+		if got, want := h.Sum(), spanSecs[name]; math.Abs(got-want) > 1e-9*math.Max(1, want) {
+			t.Errorf("stage %q: histogram sum %gs, exported spans %gs", name, got, want)
+		}
+	}
+
+	// Every fetched page, and nothing else, is one fetch span.
+	var fetches float64
+	for _, v := range sampleValues(expo, "aipan_crawler_fetches_total") {
+		fetches += v
+	}
+	pages := 0
+	for i := range res.Records {
+		pages += res.Records[i].Crawl.PagesFetched
+	}
+	if got := stages.With("fetch").Count(); pages == 0 || float64(got) != fetches || int(got) != pages {
+		t.Errorf("fetch spans %d, aipan_crawler_fetches_total %v, records' pages fetched %d",
+			got, fetches, pages)
+	}
+}
+
+// sampleValues returns the values of every sample of the named series
+// in a Prometheus text exposition, keyed by label set.
+func sampleValues(expo, name string) map[string]float64 {
+	out := map[string]float64{}
+	for _, line := range strings.Split(expo, "\n") {
+		rest, ok := strings.CutPrefix(line, name)
+		if !ok || (rest != "" && rest[0] != '{' && rest[0] != ' ') {
+			continue
+		}
+		i := strings.LastIndexByte(rest, ' ')
+		if v, err := strconv.ParseFloat(rest[i+1:], 64); err == nil {
+			out[rest[:i]] = v
+		}
+	}
+	return out
 }

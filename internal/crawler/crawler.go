@@ -171,10 +171,10 @@ type Crawler struct {
 	fetch *engine.Stage[*pageSlot, struct{}]
 }
 
-// metrics is the crawler's instrument set (see DESIGN.md §9).
+// metrics is the crawler's instrument set (see DESIGN.md §9). Fetch
+// latency is the fetch span's.
 type metrics struct {
-	fetchDur        *obs.HistogramVec // by status class
-	fetches         *obs.CounterVec   // by status class
+	fetches         *obs.CounterVec // by status class
 	robotsDenied    *obs.Counter
 	politenessWaits *obs.Counter
 	politenessSecs  *obs.Counter
@@ -187,8 +187,6 @@ func newMetrics(reg *obs.Registry) *metrics {
 		reg = obs.Default()
 	}
 	return &metrics{
-		fetchDur: reg.HistogramVec("aipan_crawler_fetch_duration_seconds",
-			"Page fetch latency by HTTP status class.", nil, "status_class"),
 		fetches: reg.CounterVec("aipan_crawler_fetches_total",
 			"Pages fetched by HTTP status class (error = transport failure).", "status_class"),
 		robotsDenied: reg.Counter("aipan_crawler_robots_denied_total",
@@ -231,7 +229,7 @@ func New(cfg Config) (*Crawler, error) {
 		met: newMetrics(cfg.Registry),
 		log: cfg.Logger.With("crawler"),
 	}
-	c.fetch = engine.NewStage(cfg.Registry, "fetch", engine.Policy{Workers: engine.Unbounded},
+	c.fetch = engine.NewStage(cfg.Registry, "fetch", engine.Unbounded,
 		func(ctx context.Context, s *pageSlot) (struct{}, error) {
 			c.fetchSlot(ctx, s)
 			return struct{}{}, nil
@@ -474,13 +472,13 @@ func (c *Crawler) postProcess(res *Result) {
 	}
 }
 
-// fetchPage performs one GET, recording latency and status-class metrics.
+// fetchPage performs one GET under a fetch span, whose path attribute
+// tells a domain's fetches apart, and counts it by status class.
 func (c *Crawler) fetchPage(ctx context.Context, u *url.URL) *Page {
-	start := time.Now()
+	_, span := obs.StartSpanWith(ctx, "fetch", obs.A("path", u.Path))
+	defer span.End()
 	p := c.doFetch(ctx, u)
-	class := statusClass(p)
-	c.met.fetchDur.With(class).Observe(time.Since(start).Seconds())
-	c.met.fetches.With(class).Inc()
+	c.met.fetches.With(statusClass(p)).Inc()
 	if p.FetchErr != "" {
 		c.log.Debug("fetch failed", "url", p.URL, "err", p.FetchErr)
 	}
@@ -619,7 +617,7 @@ func (c *Crawler) CrawlAll(ctx context.Context, domains []string, workers int) [
 	if workers < 1 {
 		workers = 1
 	}
-	stage := engine.NewStage(c.cfg.Registry, "crawl", engine.Policy{Workers: workers},
+	stage := engine.NewStage(c.cfg.Registry, "crawl", workers,
 		func(ctx context.Context, domain string) (*Result, error) {
 			return c.CrawlDomain(ctx, domain), nil
 		})

@@ -12,14 +12,14 @@ import (
 	"aipan/internal/obs"
 )
 
-func newTestStage[In, Out any](t *testing.T, pol Policy,
+func newTestStage[In, Out any](t *testing.T, workers int,
 	fn func(context.Context, In) (Out, error)) *Stage[In, Out] {
 	t.Helper()
-	return NewStage(obs.NewRegistry(), "test", pol, fn)
+	return NewStage(obs.NewRegistry(), "test", workers, fn)
 }
 
 func TestMapZeroItems(t *testing.T) {
-	st := newTestStage[int, int](t, Policy{Workers: 8}, func(_ context.Context, v int) (int, error) {
+	st := newTestStage[int, int](t, 8, func(_ context.Context, v int) (int, error) {
 		return v, nil
 	})
 	out, err := st.Map(context.Background(), nil)
@@ -36,7 +36,7 @@ func TestMapOrderedDeliveryMaxConcurrency(t *testing.T) {
 	// sleeps inversely to its index), the worst case for ordered
 	// delivery: the head of the prefix completes last.
 	const n = 48
-	st := newTestStage[int, int](t, Policy{Workers: Unbounded}, func(_ context.Context, v int) (int, error) {
+	st := newTestStage[int, int](t, Unbounded, func(_ context.Context, v int) (int, error) {
 		time.Sleep(time.Duration(n-v) * time.Millisecond / 4)
 		return v * v, nil
 	})
@@ -76,7 +76,7 @@ func TestMapOrderedDeliveryMaxConcurrency(t *testing.T) {
 
 func TestMapSerialWhenWorkersZero(t *testing.T) {
 	var inflight, maxInflight atomic.Int64
-	st := newTestStage[int, int](t, Policy{}, func(_ context.Context, v int) (int, error) {
+	st := newTestStage[int, int](t, 0, func(_ context.Context, v int) (int, error) {
 		cur := inflight.Add(1)
 		defer inflight.Add(-1)
 		if cur > maxInflight.Load() {
@@ -93,10 +93,14 @@ func TestMapSerialWhenWorkersZero(t *testing.T) {
 	}
 }
 
+// TestMapErrorAfterRetriesExhausted: a stage has no retries, so an
+// item's first failure is final. Every item runs exactly once, the
+// lowest-index error wins, the healthy items still run, and each failed
+// item's own error is delivered.
 func TestMapErrorAfterRetriesExhausted(t *testing.T) {
 	attempts := make([]atomic.Int64, 8)
 	boom := errors.New("boom")
-	st := newTestStage[int, int](t, Policy{Workers: 4, Retries: 2}, func(_ context.Context, v int) (int, error) {
+	st := newTestStage[int, int](t, 4, func(_ context.Context, v int) (int, error) {
 		attempts[v].Add(1)
 		if v == 3 || v == 6 {
 			return 0, fmt.Errorf("item %d: %w", v, boom)
@@ -112,12 +116,8 @@ func TestMapErrorAfterRetriesExhausted(t *testing.T) {
 		t.Fatalf("Map returned %q, want the lowest-index error", got)
 	}
 	for i := 0; i < 8; i++ {
-		want := int64(1)
-		if i == 3 || i == 6 {
-			want = 3 // initial try + 2 retries
-		}
-		if attempts[i].Load() != want {
-			t.Fatalf("item %d ran %d times, want %d", i, attempts[i].Load(), want)
+		if attempts[i].Load() != 1 {
+			t.Fatalf("item %d ran %d times, want once", i, attempts[i].Load())
 		}
 		if i != 3 && i != 6 && out[i] != i+1 {
 			t.Fatalf("out[%d] = %d, want %d (healthy items must still run)", i, out[i], i+1)
@@ -136,30 +136,12 @@ func TestMapErrorAfterRetriesExhausted(t *testing.T) {
 	}
 }
 
-func TestMapRetryRecovers(t *testing.T) {
-	var tries atomic.Int64
-	st := newTestStage[int, string](t, Policy{Workers: 2, Retries: 3, Backoff: time.Microsecond},
-		func(_ context.Context, v int) (string, error) {
-			if tries.Add(1) < 3 {
-				return "", errors.New("transient")
-			}
-			return "ok", nil
-		})
-	out, err := st.Map(context.Background(), []int{1})
-	if err != nil {
-		t.Fatalf("Map: %v (attempts=%d)", err, tries.Load())
-	}
-	if out[0] != "ok" || tries.Load() != 3 {
-		t.Fatalf("got %q after %d tries, want ok after 3", out[0], tries.Load())
-	}
-}
-
 func TestMapCancellationDrainsCleanly(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{}, 4)
 	var executed atomic.Int64
-	st := newTestStage[int, int](t, Policy{Workers: 4}, func(ctx context.Context, v int) (int, error) {
+	st := newTestStage[int, int](t, 4, func(ctx context.Context, v int) (int, error) {
 		started <- struct{}{}
 		executed.Add(1)
 		<-ctx.Done() // simulate an item in flight when the run is canceled
@@ -200,7 +182,7 @@ func TestMapCanceledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var executed atomic.Int64
-	st := newTestStage[int, int](t, Policy{Workers: 2}, func(_ context.Context, v int) (int, error) {
+	st := newTestStage[int, int](t, 2, func(_ context.Context, v int) (int, error) {
 		executed.Add(1)
 		return v, nil
 	})
@@ -210,22 +192,6 @@ func TestMapCanceledBeforeStart(t *testing.T) {
 	}
 	if executed.Load() != 0 {
 		t.Fatalf("%d items ran under an already-canceled context", executed.Load())
-	}
-}
-
-func TestMapNoRetryOnCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var tries atomic.Int64
-	st := newTestStage[int, int](t, Policy{Workers: 1, Retries: 5}, func(context.Context, int) (int, error) {
-		tries.Add(1)
-		cancel() // fail and cancel on the first attempt
-		return 0, errors.New("boom")
-	})
-	if _, err := st.Map(ctx, seq(1)); err == nil {
-		t.Fatal("Map: expected an error")
-	}
-	if tries.Load() != 1 {
-		t.Fatalf("canceled item was retried %d times, want none", tries.Load()-1)
 	}
 }
 

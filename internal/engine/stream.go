@@ -6,8 +6,8 @@ import (
 )
 
 // StreamDeliver is the engine's one delivery loop: it runs fn over n
-// items produced on demand by item(i), with at most Policy.Workers in
-// flight, and retains at most window results at any moment. A worker
+// items produced on demand by item(i), with at most the stage's workers
+// in flight, and retains at most window results at any moment. A worker
 // may only claim item i once fewer than window items separate it from
 // the delivery cursor, so producers can never run ahead of a slow sink
 // — the back-pressure that keeps the pipeline's RSS flat at corpus
@@ -21,10 +21,10 @@ import (
 // what makes checkpoint files deterministic across worker counts.
 // deliver runs under the stream's internal lock and must not call back
 // into the stage. The error and cancellation contracts are Map's: a
-// failed item (after retries) is delivered and the stream keeps
-// draining, with the lowest-index error returned at the end;
-// cancellation stops workers from claiming new items and returns
-// ctx.Err() if any item was never executed.
+// failed item is delivered and the stream keeps draining, with the
+// lowest-index error returned at the end; cancellation stops workers
+// from claiming new items and returns ctx.Err() if any item was never
+// executed.
 func (s *Stage[In, Out]) StreamDeliver(ctx context.Context, n, window int,
 	item func(i int) In, deliver func(i int, out Out, err error)) error {
 	if n == 0 {
@@ -36,7 +36,7 @@ func (s *Stage[In, Out]) StreamDeliver(ctx context.Context, n, window int,
 	if window > n {
 		window = n
 	}
-	workers := s.pol.Workers
+	workers := s.workers
 	if workers == 0 {
 		workers = 1
 	}

@@ -18,7 +18,7 @@ func TestStreamDeliverOrderAndCompleteness(t *testing.T) {
 	const n = 500
 	for _, workers := range []int{1, 3, 8, Unbounded} {
 		for _, window := range []int{1, 2, 7, 64, n + 10} {
-			st := NewStage(obs.NewRegistry(), "t", Policy{Workers: workers},
+			st := NewStage(obs.NewRegistry(), "t", workers,
 				func(_ context.Context, i int) (int, error) { return i * 2, nil })
 			var got []int
 			err := st.StreamDeliver(context.Background(), n, window,
@@ -55,7 +55,7 @@ func TestStreamDeliverBackPressure(t *testing.T) {
 	var mu sync.Mutex
 	delivered := 0
 	var maxAhead atomic.Int64
-	st := NewStage(obs.NewRegistry(), "t", Policy{Workers: 16},
+	st := NewStage(obs.NewRegistry(), "t", 16,
 		func(_ context.Context, i int) (int, error) {
 			mu.Lock()
 			ahead := int64(i - delivered)
@@ -90,7 +90,7 @@ func TestStreamDeliverErrorDrain(t *testing.T) {
 	const n = 50
 	boom7 := errors.New("boom 7")
 	boom3 := errors.New("boom 3")
-	st := NewStage(obs.NewRegistry(), "t", Policy{Workers: 4},
+	st := NewStage(obs.NewRegistry(), "t", 4,
 		func(_ context.Context, i int) (int, error) {
 			switch i {
 			case 7:
@@ -128,7 +128,7 @@ func TestStreamDeliverErrorDrain(t *testing.T) {
 func TestStreamDeliverCancellation(t *testing.T) {
 	const n = 1000
 	ctx, cancel := context.WithCancel(context.Background())
-	st := NewStage(obs.NewRegistry(), "t", Policy{Workers: 8},
+	st := NewStage(obs.NewRegistry(), "t", 8,
 		func(ctx context.Context, i int) (int, error) {
 			if i == 20 {
 				cancel()
@@ -169,7 +169,7 @@ func TestStreamDeliverCancellation(t *testing.T) {
 func TestMapMatchesStreamDeliver(t *testing.T) {
 	const n = 300
 	mk := func() *Stage[int, string] {
-		return NewStage(obs.NewRegistry(), "t", Policy{Workers: 6},
+		return NewStage(obs.NewRegistry(), "t", 6,
 			func(_ context.Context, i int) (string, error) {
 				return fmt.Sprintf("v%d", i*i), nil
 			})
@@ -200,7 +200,7 @@ func TestMapMatchesStreamDeliver(t *testing.T) {
 
 // TestStreamDeliverZeroItems: n == 0 returns immediately.
 func TestStreamDeliverZeroItems(t *testing.T) {
-	st := NewStage(obs.NewRegistry(), "t", Policy{Workers: 4},
+	st := NewStage(obs.NewRegistry(), "t", 4,
 		func(_ context.Context, i int) (int, error) { return i, nil })
 	if err := st.StreamDeliver(context.Background(), 0, 8,
 		func(i int) int { return i },

@@ -15,9 +15,9 @@ import (
 
 // This file is the durable half of the tracing layer: completed spans
 // stream through the Exporter seam into a length-prefixed JSONL trace
-// file that survives the process (DESIGN.md §14). The in-memory tree in
-// span.go answers "where did this run spend its time" interactively;
-// the export answers it later, from another process (`aipan debug
+// file that survives the process (DESIGN.md §14). The stage histogram
+// span.go feeds answers "where is this run spending its time" live; the
+// export answers it per span, later, from another process (`aipan debug
 // trace`), and — in deterministic mode — byte-identically across
 // same-seed runs, so trace files can be diffed like dataset files.
 

@@ -3,7 +3,7 @@
 // scoping; a concurrency-safe metrics registry (counters, gauges,
 // fixed-bucket histograms) exported in the Prometheus text exposition
 // format; and lightweight spans that record per-stage wall time into the
-// registry and aggregate into a per-run trace summary.
+// registry and stream to a trace exporter.
 //
 // Everything is optional and cheap when unused: a nil *Logger is a
 // no-op, StartSpan without a Tracer in the context returns a no-op span,

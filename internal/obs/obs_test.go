@@ -70,12 +70,17 @@ func TestParseLevel(t *testing.T) {
 
 // TestRegistryConcurrency is the race-detector acceptance test: parallel
 // counter/gauge/histogram writers race a scraping reader, then the final
-// totals must be exact.
+// totals must be exact. The registry leaves a family with no series out
+// of the exposition, so a scrape that runs before the first write may
+// miss a family; what must never happen is a family vanishing once a
+// scrape has shown it, and the scrape after the writers finish must
+// show all three.
 func TestRegistryConcurrency(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.CounterVec("c_total", "counter", "w")
 	g := reg.Gauge("g", "gauge")
 	h := reg.HistogramVec("h_seconds", "histogram", []float64{0.5, 1, 2}, "w")
+	families := []string{"# TYPE c_total counter", "# TYPE g gauge", "# TYPE h_seconds histogram"}
 
 	const workers, perWorker = 8, 500
 	stop := make(chan struct{})
@@ -83,14 +88,20 @@ func TestRegistryConcurrency(t *testing.T) {
 	reader.Add(1)
 	go func() { // scraping reader, concurrent with the writers
 		defer reader.Done()
+		seen := make([]bool, len(families))
 		for {
 			select {
 			case <-stop:
 				return
 			default:
-				if out := reg.Expose(); !strings.Contains(out, "# TYPE c_total counter") {
-					t.Error("scrape missing counter family")
-					return
+				out := reg.Expose()
+				for i, fam := range families {
+					present := strings.Contains(out, fam)
+					if seen[i] && !present {
+						t.Errorf("scrape lost family %q after showing it", fam)
+						return
+					}
+					seen[i] = seen[i] || present
 				}
 			}
 		}
@@ -111,6 +122,13 @@ func TestRegistryConcurrency(t *testing.T) {
 	writers.Wait()
 	close(stop)
 	reader.Wait()
+
+	final := reg.Expose()
+	for _, fam := range families {
+		if !strings.Contains(final, fam) {
+			t.Errorf("final scrape missing %q:\n%s", fam, final)
+		}
+	}
 
 	var counted float64
 	for w := 0; w < workers; w++ {
@@ -184,40 +202,79 @@ func TestRegistryIdempotentAndConflicts(t *testing.T) {
 
 // ------------------------------------------------------------------- spans
 
+// recordingExporter keeps every exported span in memory.
+type recordingExporter struct {
+	mu   sync.Mutex
+	recs []SpanRecord
+}
+
+func (e *recordingExporter) ExportSpan(rec *SpanRecord) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.recs = append(e.recs, *rec)
+}
+
+func (e *recordingExporter) Close() error { return nil }
+
+// TestSpansBuildTraceTree: nested spans export as a parent-linked tree
+// whose paths chain root to leaf, each span's duration is read from the
+// tracer's clock, and every span feeds the stage histogram.
 func TestSpansBuildTraceTree(t *testing.T) {
 	reg := NewRegistry()
-	tr := NewTracer(reg)
+	exp := &recordingExporter{}
+	now := time.Unix(1_700_000_000, 0)
+	clock := func() time.Time { now = now.Add(time.Millisecond); return now }
+	tr := NewTracer(reg, WithExporter(exp), WithTracerClock(clock))
 	ctx := WithTracer(context.Background(), tr)
 
 	rctx, run := StartSpan(ctx, "run")
 	for i := 0; i < 3; i++ {
 		dctx, domain := StartSpan(rctx, "domain")
 		_, crawl := StartSpan(dctx, "crawl")
-		crawl.End()
+		if d := crawl.End(); d != time.Millisecond {
+			t.Errorf("crawl span measured %v, want one clock tick", d)
+		}
 		domain.End()
 	}
 	run.End()
 
-	sum := tr.Summary()
-	if len(sum.Stages) != 1 || sum.Stages[0].Name != "run" || sum.Stages[0].Count != 1 {
-		t.Fatalf("summary root: %+v", sum.Stages)
+	byID := map[string]SpanRecord{}
+	count := map[string]int{}
+	for _, rec := range exp.recs {
+		byID[rec.SpanID] = rec
+		count[rec.Path]++
 	}
-	dom := sum.Stages[0].Children
-	if len(dom) != 1 || dom[0].Name != "domain" || dom[0].Count != 3 {
-		t.Fatalf("domain level: %+v", dom)
+	want := map[string]int{"run": 1, "run/domain": 3, "run/domain/crawl": 3}
+	if len(count) != len(want) {
+		t.Fatalf("span paths %v, want %v", count, want)
 	}
-	if len(dom[0].Children) != 1 || dom[0].Children[0].Name != "crawl" || dom[0].Children[0].Count != 3 {
-		t.Fatalf("crawl level: %+v", dom[0].Children)
+	for path, n := range want {
+		if count[path] != n {
+			t.Errorf("%d spans at %q, want %d", count[path], path, n)
+		}
 	}
-	if dom[0].Max < dom[0].Children[0].Max {
-		t.Error("parent max shorter than child max")
+	for _, rec := range exp.recs {
+		if rec.ParentID == "" {
+			if rec.Name != "run" {
+				t.Errorf("unexpected root span %q", rec.Name)
+			}
+			continue
+		}
+		parent, ok := byID[rec.ParentID]
+		if !ok {
+			t.Fatalf("span %s parent %s not exported", rec.Name, rec.ParentID)
+		}
+		if rec.Path != parent.Path+"/"+rec.Name {
+			t.Errorf("span path %q does not extend parent path %q", rec.Path, parent.Path)
+		}
+		if parent.DurationNanos < rec.DurationNanos {
+			t.Errorf("%s span (%dns) outlasts its parent %s (%dns)",
+				rec.Name, rec.DurationNanos, parent.Name, parent.DurationNanos)
+		}
 	}
 	// Spans feed the stage histogram.
 	if !strings.Contains(reg.Expose(), `aipan_stage_duration_seconds_count{stage="crawl"} 3`) {
 		t.Errorf("stage histogram missing:\n%s", reg.Expose())
-	}
-	if out := sum.String(); !strings.Contains(out, "run") || !strings.Contains(out, "  domain") {
-		t.Errorf("rendered summary:\n%s", out)
 	}
 }
 

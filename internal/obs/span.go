@@ -5,10 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"strconv"
-	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -17,13 +14,14 @@ import (
 // name.
 const StageDurationMetric = "aipan_stage_duration_seconds"
 
-// Tracer aggregates spans into a per-run stage tree. One Tracer is
-// created per pipeline run, attached to the context with WithTracer, and
-// summarized into core.Result when the run completes. All methods are
-// safe for concurrent use.
+// Tracer times spans into the stage histogram. One Tracer is created
+// per pipeline run and attached to the context with WithTracer; its
+// clock is the one the pipeline's latencies are read from. All methods
+// are safe for concurrent use.
 //
 // A Tracer can additionally stream completed spans through an Exporter
-// (WithExporter) — that is the durable-telemetry path. Span identity is
+// (WithExporter) — that is the durable-telemetry path, and the exported
+// records are the one per-span view of a run. Span identity is
 // either counter-issued (wall mode) or derived from (run, parent, name,
 // attrs) in deterministic mode (WithDeterministicIDs), where timing
 // fields are also withheld from exported records so same-seed runs
@@ -37,16 +35,6 @@ type Tracer struct {
 	idBase        uint64
 	idCtr         atomic.Uint64
 	clock         Clock
-
-	mu   sync.Mutex
-	root map[string]*stageAgg
-}
-
-type stageAgg struct {
-	count    int
-	total    time.Duration
-	max      time.Duration
-	children map[string]*stageAgg
 }
 
 // TracerOption configures a Tracer.
@@ -79,7 +67,7 @@ func WithDeterministicIDs(seed int64) TracerOption {
 	}
 }
 
-// WithTracerClock injects the exporter's time source (default
+// WithTracerClock injects the time source every span reads (default
 // SystemClock); deterministic mode never reads it for exported fields.
 func WithTracerClock(c Clock) TracerOption {
 	return func(t *Tracer) { t.clock = c }
@@ -94,7 +82,6 @@ func NewTracer(reg *Registry, opts ...TracerOption) *Tracer {
 	t := &Tracer{
 		hist: reg.HistogramVec(StageDurationMetric,
 			"Wall time of pipeline stages, labeled by span name.", nil, "stage"),
-		root:  map[string]*stageAgg{},
 		clock: SystemClock,
 	}
 	for _, o := range opts {
@@ -122,12 +109,13 @@ func TracerFrom(ctx context.Context) *Tracer {
 }
 
 // Span is one timed region. Spans nest through the context: StartSpan
-// under an active span records the new span as its child in the trace
-// tree. A nil *Span (no tracer in the context) is a no-op.
+// under an active span records the new span as its child (parent ID and
+// slash-joined path in the exported record). A nil *Span (no tracer in
+// the context) is a no-op.
 type Span struct {
 	tracer *Tracer
 	name   string
-	path   []string
+	path   string // slash-joined names from the root span
 	attrs  []Attr
 	id     uint64
 	parent uint64
@@ -135,7 +123,7 @@ type Span struct {
 }
 
 // StartSpan begins a span named name. The returned context carries the
-// span so nested StartSpan calls build the stage tree; call End when the
+// span so nested StartSpan calls become its children; call End when the
 // region completes. Without a Tracer in ctx it returns ctx unchanged and
 // a nil (no-op) span.
 func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
@@ -150,14 +138,11 @@ func StartSpanWith(ctx context.Context, name string, attrs ...Attr) (context.Con
 	if tr == nil {
 		return ctx, nil
 	}
-	var path []string
+	path := name
 	var parentID uint64
 	if parent, ok := ctx.Value(spanKey{}).(*Span); ok && parent != nil {
-		path = make([]string, 0, len(parent.path)+1)
-		path = append(append(path, parent.path...), name)
+		path = parent.path + "/" + name
 		parentID = parent.id
-	} else {
-		path = []string{name}
 	}
 	s := &Span{tracer: tr, name: name, path: path, attrs: attrs,
 		parent: parentID, start: tr.clock()}
@@ -198,23 +183,22 @@ func (s *Span) SetAttr(key, value string) {
 	s.attrs = append(s.attrs, Attr{Key: key, Value: value})
 }
 
-// End records the span's duration into the stage histogram and the trace
-// tree, exports the span if the tracer carries an Exporter, and returns
-// the duration, so callers that report a region's time read it from the
-// span rather than timing the region twice. Safe on a nil span, which
-// returns 0.
+// End records the span's duration into the stage histogram, exports the
+// span if the tracer carries an Exporter, and returns the duration, so
+// callers that report a region's time read it from the span rather than
+// timing the region twice. Safe on a nil span, which returns 0.
 func (s *Span) End() time.Duration {
 	if s == nil {
 		return 0
 	}
 	d := s.tracer.clock().Sub(s.start)
-	s.tracer.record(s.path, d)
+	s.tracer.hist.With(s.name).Observe(d.Seconds())
 	if e := s.tracer.exporter; e != nil {
 		rec := &SpanRecord{
 			RunID:  s.tracer.runID,
 			SpanID: spanIDString(s.id),
 			Name:   s.name,
-			Path:   strings.Join(s.path, "/"),
+			Path:   s.path,
 			Attrs:  s.attrs,
 		}
 		if s.parent != 0 {
@@ -248,94 +232,4 @@ func ParseSpanID(s string) (uint64, error) {
 		return 0, fmt.Errorf("obs: invalid span id %q: %w", s, err)
 	}
 	return id, nil
-}
-
-func (t *Tracer) record(path []string, d time.Duration) {
-	t.hist.With(path[len(path)-1]).Observe(d.Seconds())
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	level := t.root
-	for i, name := range path {
-		agg := level[name]
-		if agg == nil {
-			agg = &stageAgg{children: map[string]*stageAgg{}}
-			level[name] = agg
-		}
-		if i == len(path)-1 {
-			agg.count++
-			agg.total += d
-			if d > agg.max {
-				agg.max = d
-			}
-		}
-		level = agg.children
-	}
-}
-
-// StageSummary is one node of the per-run trace summary.
-type StageSummary struct {
-	// Name is the span name ("crawl", "annotate.types", ...).
-	Name string `json:"name"`
-	// Count is how many spans completed at this node.
-	Count int `json:"count"`
-	// Total is the summed wall time across those spans (they may overlap
-	// under concurrency, so Total can exceed the run's wall clock).
-	Total time.Duration `json:"total"`
-	// Max is the slowest single span.
-	Max time.Duration `json:"max"`
-	// Children are nested stages, sorted by name.
-	Children []StageSummary `json:"children,omitempty"`
-}
-
-// TraceSummary is the per-run stage tree with aggregated durations.
-type TraceSummary struct {
-	Stages []StageSummary `json:"stages"`
-}
-
-// Summary snapshots the trace tree, stages sorted by name at every level.
-func (t *Tracer) Summary() *TraceSummary {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return &TraceSummary{Stages: summarize(t.root)}
-}
-
-func summarize(level map[string]*stageAgg) []StageSummary {
-	names := make([]string, 0, len(level))
-	for name := range level {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := make([]StageSummary, 0, len(names))
-	for _, name := range names {
-		agg := level[name]
-		out = append(out, StageSummary{
-			Name:     name,
-			Count:    agg.count,
-			Total:    agg.total,
-			Max:      agg.max,
-			Children: summarize(agg.children),
-		})
-	}
-	return out
-}
-
-// String renders the stage tree as an indented table.
-func (ts *TraceSummary) String() string {
-	var b strings.Builder
-	var walk func(stages []StageSummary, depth int)
-	walk = func(stages []StageSummary, depth int) {
-		for _, s := range stages {
-			avg := time.Duration(0)
-			if s.Count > 0 {
-				avg = s.Total / time.Duration(s.Count)
-			}
-			fmt.Fprintf(&b, "%s%-24s count=%-6d total=%-12s avg=%-12s max=%s\n",
-				strings.Repeat("  ", depth), s.Name, s.Count,
-				s.Total.Round(time.Microsecond), avg.Round(time.Microsecond),
-				s.Max.Round(time.Microsecond))
-			walk(s.Children, depth+1)
-		}
-	}
-	walk(ts.Stages, 0)
-	return b.String()
 }

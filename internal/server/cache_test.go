@@ -14,24 +14,43 @@ import (
 
 // TestETagConditionalGet covers the conditional-GET round trip: a 200
 // carries a strong ETag, replaying it in If-None-Match yields an empty
-// 304 with the same tag, and a different tag yields the full body.
+// 304 with the same tag, and a different tag yields the full body. The
+// tag does not depend on the response cache: with the cache off
+// (WithCacheSize(0)) every cacheable route still tags and revalidates.
 func TestETagConditionalGet(t *testing.T) {
-	_, srv := newTestServer(t)
-	resp, err := http.Get(srv.URL + "/v1/summary")
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"default cache", nil},
+		{"cache off", []Option{WithCacheSize(0)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, srv := newTestServer(t, tc.opts...)
+			for _, path := range []string{"/v1/summary", "/v1/domains", "/v1/risk"} {
+				checkConditionalGet(t, srv.URL+path)
+			}
+		})
+	}
+}
+
+func checkConditionalGet(t *testing.T, url string) {
+	t.Helper()
+	resp, err := http.Get(url)
 	if err != nil {
 		t.Fatal(err)
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	etag := resp.Header.Get("ETag")
-	if etag == "" || !strings.HasPrefix(etag, `"`) {
-		t.Fatalf("ETag = %q, want strong quoted tag", etag)
+	if resp.StatusCode != http.StatusOK || etag == "" || !strings.HasPrefix(etag, `"`) {
+		t.Fatalf("%s: status %d, ETag = %q, want 200 with a strong quoted tag", url, resp.StatusCode, etag)
 	}
 	if cc := resp.Header.Get("Cache-Control"); cc != "no-cache" {
-		t.Errorf("Cache-Control = %q", cc)
+		t.Errorf("%s: Cache-Control = %q", url, cc)
 	}
 
-	req, _ := http.NewRequest(http.MethodGet, srv.URL+"/v1/summary", nil)
+	req, _ := http.NewRequest(http.MethodGet, url, nil)
 	req.Header.Set("If-None-Match", etag)
 	resp2, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -40,13 +59,13 @@ func TestETagConditionalGet(t *testing.T) {
 	body2, _ := io.ReadAll(resp2.Body)
 	resp2.Body.Close()
 	if resp2.StatusCode != http.StatusNotModified {
-		t.Fatalf("conditional GET status = %d, want 304", resp2.StatusCode)
+		t.Fatalf("%s: conditional GET status = %d, want 304", url, resp2.StatusCode)
 	}
 	if len(body2) != 0 {
-		t.Errorf("304 carried %d body bytes", len(body2))
+		t.Errorf("%s: 304 carried %d body bytes", url, len(body2))
 	}
 	if got := resp2.Header.Get("ETag"); got != etag {
-		t.Errorf("304 ETag = %q, want %q", got, etag)
+		t.Errorf("%s: 304 ETag = %q, want %q", url, got, etag)
 	}
 
 	req.Header.Set("If-None-Match", `"0-deadbeef"`)
@@ -57,7 +76,7 @@ func TestETagConditionalGet(t *testing.T) {
 	body3, _ := io.ReadAll(resp3.Body)
 	resp3.Body.Close()
 	if resp3.StatusCode != 200 || string(body3) != string(body) {
-		t.Errorf("mismatched tag: status %d, body equal=%v", resp3.StatusCode, string(body3) == string(body))
+		t.Errorf("%s: mismatched tag: status %d, body equal=%v", url, resp3.StatusCode, string(body3) == string(body))
 	}
 
 	// W/ prefix and list syntax still match strongly after stripping.
@@ -68,7 +87,7 @@ func TestETagConditionalGet(t *testing.T) {
 	}
 	resp4.Body.Close()
 	if resp4.StatusCode != http.StatusNotModified {
-		t.Errorf("list If-None-Match status = %d, want 304", resp4.StatusCode)
+		t.Errorf("%s: list If-None-Match status = %d, want 304", url, resp4.StatusCode)
 	}
 }
 

@@ -16,7 +16,8 @@ type params = api.Params
 type handler func(v *view, ps params, r *http.Request) (*result, *apiErr)
 
 // routeRule is the server's per-route policy carried by the shared
-// api.Router: the handler plus whether the route is response-cached and
+// api.Router: the handler plus whether the route is ETag-tagged and
+// response-cached (when the cache is on) and
 // whether it is subject to rate limiting and the in-flight ceiling
 // (health probes are exempt: monitoring must see a drowning server).
 type routeRule struct {

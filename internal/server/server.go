@@ -146,7 +146,8 @@ func WithRateLimit(rps float64, burst int) Option {
 }
 
 // WithCacheSize bounds the response cache to n entries (LRU). n <= 0
-// disables response caching; the default is 1024.
+// disables response caching; ETags and 304 revalidation stay on. The
+// default is 1024.
 func WithCacheSize(n int) Option {
 	return func(s *Server) {
 		if n > 0 {
@@ -376,8 +377,8 @@ func (s *Server) handle(w *api.Recorder, r *http.Request, rt *route, ps params, 
 
 	v := s.view.Load()
 	var key string
-	cacheable := rt.H.cacheable && s.cache != nil
-	if cacheable {
+	cached := rt.H.cacheable && s.cache != nil
+	if cached {
 		key = cacheKey(r)
 		if e, ok := s.cache.get(key, v.gen); ok {
 			s.mCacheHits.With(rt.Name).Inc()
@@ -401,9 +402,14 @@ func (s *Server) handle(w *api.Recorder, r *http.Request, rt *route, ps params, 
 		api.WriteError(w, aerr)
 		return
 	}
+	// Every cacheable route is tagged, cache or no cache: the tag is a
+	// function of the view and the body, so revalidation (304) works
+	// with the response cache off too.
 	var etag string
-	if cacheable {
+	if rt.H.cacheable {
 		etag = api.ETagFor(v.gen, body)
+	}
+	if cached {
 		s.cache.put(key, v.gen, &cacheEntry{contentType: ct, body: body, etag: etag})
 	}
 	s.serveBody(w, r, ct, body, etag)

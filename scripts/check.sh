@@ -30,8 +30,9 @@ echo "aipanvet wall time: ${vet_secs}s (ceiling ${AIPAN_VET_TIME_CEILING}s)"
 echo "==> aipanvet negative fixtures (the gate must bite on seeded violations)"
 scripts/verify-negatives.sh
 
-echo "==> go test -race (engine, core, obs, server, store, api, dispatch)"
-go test -race ./internal/engine/... ./internal/core/... ./internal/obs/... ./internal/server/... ./internal/store/... ./internal/api/... ./internal/dispatch/...
+echo "==> go test -race (engine, core, obs, server, store, api, dispatch, crawler, annotate, chatbot)"
+go test -race ./internal/engine/... ./internal/core/... ./internal/obs/... ./internal/server/... ./internal/store/... ./internal/api/... ./internal/dispatch/... \
+  ./internal/crawler/... ./internal/annotate/... ./internal/chatbot/...
 
 echo "==> go test ./..."
 go test ./...
