@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	aipan run      --out aipan.jsonl [--limit N] [--universe N] [--window N] [--model sim-gpt4] [--workers 8] [--seed 3000] [--checkpoint ck.jsonl --store jsonl|binary:N|mem [--resume]] [--stats-out stats.json] [--metrics-addr :9090] [--trace-out run.trace] [--events-out events/] [--telemetry-timings]
+//	aipan run      --out aipan.jsonl [--limit N] [--universe N] [--model sim-gpt4] [--workers 8] [--seed 3000] [--checkpoint ck.jsonl] [--store jsonl|binary:N|mem] [--stats-out stats.json] [--metrics-addr :9090] [--trace-out run.trace] [--events-out events/] [--telemetry-timings]
 //	aipan report   --data aipan.jsonl --table funnel|1|2a|2b|3|4|5|6|dist|retention [--seed 3000]
 //	aipan validate --data aipan.jsonl [--seed 3000]
 //	aipan compare-models [--n 20] [--seed 3000]
@@ -32,7 +32,6 @@ import (
 	"aipan/internal/chatbot"
 	"aipan/internal/core"
 	"aipan/internal/obs"
-	"aipan/internal/report"
 )
 
 func main() {
@@ -149,10 +148,8 @@ type runFlags struct {
 	limit      int
 	workers    int
 	universe   int
-	window     int
 	checkpoint string
 	storeSpec  string
-	resume     bool
 	csvPrefix  string
 	statsOut   string
 }
@@ -169,12 +166,6 @@ func (rf *runFlags) validate() error {
 	}
 	if rf.universe < 0 {
 		return fmt.Errorf("--universe must be non-negative (got %d; 0 = the paper's 2,892 domains)", rf.universe)
-	}
-	if rf.window < 0 {
-		return fmt.Errorf("--window must be non-negative (got %d; 0 derives it from --workers)", rf.window)
-	}
-	if rf.resume && rf.checkpoint == "" {
-		return fmt.Errorf("--resume requires --checkpoint (the checkpoint to resume from)")
 	}
 	switch {
 	case rf.storeSpec == "" || rf.storeSpec == "jsonl" || rf.storeSpec == "mem":
@@ -207,8 +198,7 @@ func runPipeline(out string, rf runFlags, seed int64, model string, progress boo
 	}
 	cfg := aipan.PipelineConfig{
 		Seed: seed, Limit: rf.limit, Workers: rf.workers, Bot: bot,
-		UniverseDomains: rf.universe, Window: rf.window,
-		Checkpoint: rf.checkpoint, TelemetryTimings: of.telemetryTimings,
+		UniverseDomains: rf.universe, TelemetryTimings: of.telemetryTimings,
 	}
 	// Telemetry outputs close after the run so the sorted trace exporter
 	// can write its deterministic file; close errors are surfaced on
@@ -237,17 +227,18 @@ func runPipeline(out string, rf runFlags, seed int64, model string, progress boo
 		telemetryClosers = append(telemetryClosers, ev.Close)
 		cfg.Events = ev
 	}
+	// A checkpoint (JSONL by default) or a mem store is the run's
+	// store: the run resumes from it, and the exports below read back
+	// through it.
 	var st aipan.DatasetStore
-	if rf.storeSpec != "" && rf.storeSpec != "jsonl" {
+	if rf.checkpoint != "" || rf.storeSpec == "mem" {
 		if st, err = aipan.OpenDatasetStore(rf.storeSpec, rf.checkpoint); err != nil {
 			return nil, nil, err
 		}
 		defer st.Close()
 		cfg.Store = st
-		cfg.Checkpoint = ""
 		// Records live in the store; streaming them into the Result too
-		// would hold the whole dataset in memory for nothing — exports
-		// below read back through the store instead.
+		// would hold the whole dataset in memory for nothing.
 		cfg.DiscardRecords = true
 	}
 	if of.logLevel != "" {
@@ -336,14 +327,12 @@ func cmdRun(args []string) error {
 	limit := fs.Int("limit", 0, "process only the first N domains (0 = all)")
 	workers := fs.Int("workers", 8, "concurrent domains")
 	universe := fs.Int("universe", 0, "scale the study universe to N unique domains (0 = the paper's 2,892)")
-	window := fs.Int("window", 0, "delivery lookahead: completed records held before in-order delivery (0 = 4×workers)")
 	seed := fs.Int64("seed", aipan.DefaultSeed, "corpus seed")
 	model := fs.String("model", "sim-gpt4", "chatbot backend")
 	csvPrefix := fs.String("csv", "", "also write <prefix>-annotations.csv and <prefix>-domains.csv")
 	taxPath := fs.String("taxonomy", "", "JSON taxonomy extension to merge before annotating")
 	checkpoint := fs.String("checkpoint", "", "stream records to this path and resume from it on restart")
 	storeSpec := fs.String("store", "jsonl", "checkpoint storage backend: jsonl | binary:N | mem")
-	resume := fs.Bool("resume", false, "resume an interrupted run from --checkpoint")
 	statsOut := fs.String("stats-out", "", "write run statistics (domains, wall secs, domains/sec, peak RSS) as JSON here")
 	distributed := fs.Int("distributed", 0,
 		"run the study through the dispatch coordinator with N in-process workers (0 = single-process)")
@@ -363,8 +352,8 @@ func cmdRun(args []string) error {
 		}
 	}
 	rf := runFlags{
-		limit: *limit, workers: *workers, universe: *universe, window: *window,
-		checkpoint: *checkpoint, storeSpec: *storeSpec, resume: *resume,
+		limit: *limit, workers: *workers, universe: *universe,
+		checkpoint: *checkpoint, storeSpec: *storeSpec,
 		csvPrefix: *csvPrefix, statsOut: *statsOut,
 	}
 	if *distributed > 0 || *listen != "" {
@@ -797,6 +786,5 @@ func cmdAll(args []string) error {
 		fmt.Printf("chatbot calls: %d (failed %d), tokens: %d prompt / %d completion\n",
 			st.Calls, st.FailedCalls, st.Usage.PromptTokens, st.Usage.CompletionTokens)
 	}
-	_ = report.FunnelNumbers{} // keep the report import for future subcommands
 	return nil
 }

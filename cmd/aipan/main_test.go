@@ -1,9 +1,14 @@
 package main
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"aipan"
 )
 
 func TestRunFlagsValidate(t *testing.T) {
@@ -16,8 +21,6 @@ func TestRunFlagsValidate(t *testing.T) {
 		{"zero workers fall back in core", runFlags{}, ""},
 		{"negative workers", runFlags{workers: -3}, "--workers"},
 		{"negative limit", runFlags{limit: -1}, "--limit"},
-		{"resume without checkpoint", runFlags{resume: true}, "--resume requires --checkpoint"},
-		{"resume with checkpoint", runFlags{checkpoint: "ck.jsonl", resume: true}, ""},
 		{"jsonl store", runFlags{storeSpec: "jsonl", checkpoint: "ck.jsonl"}, ""},
 		{"mem store", runFlags{storeSpec: "mem"}, ""},
 		{"sharded store with checkpoint", runFlags{storeSpec: "binary:4", checkpoint: "dir"}, ""},
@@ -38,6 +41,63 @@ func TestRunFlagsValidate(t *testing.T) {
 				t.Fatalf("validate(%+v) = %v, want error containing %q", tc.rf, err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestRunPipelineExportsMatchAcrossCheckpoints drives the run command's
+// export paths at --limit 8 with --csv: once with no checkpoint (the
+// dataset and CSVs are written from the in-memory records), then with a
+// checkpoint under each store spec (they are exported back through the
+// store). Every checkpointed run must write the plain run's bytes, and
+// each on-disk checkpoint must hold every record.
+func TestRunPipelineExportsMatchAcrossCheckpoints(t *testing.T) {
+	const limit = 8
+	dir := t.TempDir()
+	outputs := func(name string, rf runFlags) [][]byte {
+		t.Helper()
+		rf.limit, rf.workers = limit, 4
+		rf.csvPrefix = filepath.Join(dir, name)
+		out := filepath.Join(dir, name+".jsonl")
+		if _, _, err := runPipeline(out, rf, aipan.DefaultSeed, "sim-gpt4", false, obsFlags{}); err != nil {
+			t.Fatalf("%s run: %v", name, err)
+		}
+		var got [][]byte
+		for _, path := range []string{out, rf.csvPrefix + "-annotations.csv", rf.csvPrefix + "-domains.csv"} {
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, b)
+		}
+		return got
+	}
+	want := outputs("plain", runFlags{})
+	if n := bytes.Count(want[0], []byte("\n")); n != limit {
+		t.Fatalf("plain run wrote %d records, want %d", n, limit)
+	}
+	for _, tc := range []struct{ name, spec, checkpoint string }{
+		{"jsonl", "jsonl", filepath.Join(dir, "ck.jsonl")},
+		{"binary", "binary:2", filepath.Join(dir, "ck-bin")},
+		{"mem", "mem", ""},
+	} {
+		got := outputs(tc.name, runFlags{storeSpec: tc.spec, checkpoint: tc.checkpoint})
+		for i, file := range []string{"dataset", "annotations CSV", "domains CSV"} {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Errorf("--store %s: %s differs from the plain run's", tc.spec, file)
+			}
+		}
+		if tc.checkpoint == "" {
+			continue
+		}
+		st, err := aipan.OpenDatasetStore(tc.spec, tc.checkpoint)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := st.Len()
+		st.Close()
+		if err != nil || n != limit {
+			t.Errorf("--store %s checkpoint holds %d records (err=%v), want %d", tc.spec, n, err, limit)
+		}
 	}
 }
 

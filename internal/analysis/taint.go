@@ -78,9 +78,9 @@ type sinkFlow struct {
 
 // fnTaint is one function's interprocedural summary.
 type fnTaint struct {
-	retSrc    string          // source reason chain carried by a return value
-	retOrder  bool            // that source taint is ordering-only
-	retParams uint64          // parameter bits whose taint passes to the return value
+	retSrc    string           // source reason chain carried by a return value
+	retOrder  bool             // that source taint is ordering-only
+	retParams uint64           // parameter bits whose taint passes to the return value
 	sinks     map[int]sinkFlow // parameter index (receiver = 0 for methods) → sink reached
 }
 
@@ -136,10 +136,10 @@ func runNondetflow(p *Pass) {
 type fnScope struct {
 	e       *taintEngine
 	node    *FuncNode
-	params  map[types.Object]int      // param object → summary index
-	taints  map[types.Object]*taint   // current per-variable taint
+	params  map[types.Object]int         // param object → summary index
+	taints  map[types.Object]*taint      // current per-variable taint
 	sorted  map[types.Object][]token.Pos // positions of sort calls per variable
-	regions [][2]token.Pos            // map-range body extents (order regions)
+	regions [][2]token.Pos               // map-range body extents (order regions)
 	report  bool
 }
 

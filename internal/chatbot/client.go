@@ -4,10 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -17,9 +14,8 @@ import (
 
 // Client wraps a Chatbot with the operational machinery a large-scale
 // annotation run needs: bounded concurrency, retry with backoff on
-// transient failures, an idempotent response cache (identical prompts are
-// asked once — also what makes re-runs cheap), and aggregate token
-// accounting.
+// transient failures, an idempotent in-memory response cache (identical
+// prompts are asked once per client), and aggregate token accounting.
 type Client struct {
 	bot         Chatbot
 	lim         *engine.Limiter
@@ -28,7 +24,6 @@ type Client struct {
 	mu          sync.Mutex
 	cache       map[string]Response
 	cacheOn     bool
-	diskDir     string
 	usage       Usage
 	calls       int
 	cacheHits   int
@@ -87,16 +82,6 @@ func WithCache(on bool) ClientOption {
 	return func(c *Client) { c.cacheOn = on }
 }
 
-// WithDiskCache persists responses under dir, keyed by request hash, so
-// interrupted runs against a real (paid) LLM resume without re-spending
-// tokens. Implies the in-memory cache.
-func WithDiskCache(dir string) ClientOption {
-	return func(c *Client) {
-		c.cacheOn = true
-		c.diskDir = dir
-	}
-}
-
 // WithRegistry routes the client's metrics to reg instead of the
 // process-wide default registry.
 func WithRegistry(reg *obs.Registry) ClientOption {
@@ -139,14 +124,6 @@ func (c *Client) Complete(ctx context.Context, req Request) (Response, error) {
 			return resp, nil
 		}
 		c.mu.Unlock()
-		if resp, ok := c.loadDisk(key); ok {
-			c.mu.Lock()
-			c.cacheHits++
-			c.cache[key] = resp
-			c.mu.Unlock()
-			c.met.cacheHits.Inc()
-			return resp, nil
-		}
 	}
 
 	if err := c.lim.Acquire(ctx); err != nil {
@@ -193,55 +170,8 @@ func (c *Client) Complete(ctx context.Context, req Request) (Response, error) {
 	c.usage.Add(resp.Usage)
 	if c.cacheOn {
 		c.cache[key] = resp
-		c.storeDisk(key, resp)
 	}
 	return resp, nil
-}
-
-// diskResponse is the persisted cache entry.
-type diskResponse struct {
-	Content string `json:"content"`
-	Model   string `json:"model"`
-	Usage   Usage  `json:"usage"`
-}
-
-func (c *Client) diskPath(key string) string {
-	// Two-level fanout keeps directories small at corpus scale.
-	return filepath.Join(c.diskDir, key[:2], key+".json")
-}
-
-func (c *Client) loadDisk(key string) (Response, bool) {
-	if c.diskDir == "" {
-		return Response{}, false
-	}
-	data, err := os.ReadFile(c.diskPath(key))
-	if err != nil {
-		return Response{}, false
-	}
-	var dr diskResponse
-	if err := json.Unmarshal(data, &dr); err != nil {
-		return Response{}, false // corrupt entry: treat as miss
-	}
-	return Response{Content: dr.Content, Model: dr.Model, Usage: dr.Usage}, true
-}
-
-func (c *Client) storeDisk(key string, resp Response) {
-	if c.diskDir == "" {
-		return
-	}
-	path := c.diskPath(key)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return // cache is best-effort; the completion already succeeded
-	}
-	data, err := json.Marshal(diskResponse{Content: resp.Content, Model: resp.Model, Usage: resp.Usage})
-	if err != nil {
-		return
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return
-	}
-	_ = os.Rename(tmp, path)
 }
 
 // Stats reports aggregate accounting for the client's lifetime.

@@ -6,8 +6,6 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"sync/atomic"
 	"testing"
 )
@@ -199,61 +197,4 @@ func contains(s, sub string) bool {
 			}
 			return false
 		}())
-}
-
-func TestDiskCache(t *testing.T) {
-	dir := t.TempDir()
-	bot := &flakyBot{}
-	req := Request{Task: "t", Messages: []Message{{Role: RoleUser, Content: "persist me"}}}
-
-	c1 := NewClient(bot, WithDiskCache(dir))
-	if _, err := c1.Complete(context.Background(), req); err != nil {
-		t.Fatal(err)
-	}
-	if got := atomic.LoadInt32(&bot.calls); got != 1 {
-		t.Fatalf("backend calls = %d", got)
-	}
-
-	// A brand-new client (fresh process in real life) hits the disk cache.
-	c2 := NewClient(bot, WithDiskCache(dir))
-	resp, err := c2.Complete(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := atomic.LoadInt32(&bot.calls); got != 1 {
-		t.Errorf("backend called again despite disk cache (calls=%d)", got)
-	}
-	if resp.Content != "[]" {
-		t.Errorf("cached content = %q", resp.Content)
-	}
-	if st := c2.Stats(); st.CacheHits != 1 {
-		t.Errorf("cache hits = %d", st.CacheHits)
-	}
-}
-
-func TestDiskCacheCorruptEntryIsMiss(t *testing.T) {
-	dir := t.TempDir()
-	bot := &flakyBot{}
-	req := Request{Task: "t", Messages: []Message{{Role: RoleUser, Content: "x"}}}
-	c := NewClient(bot, WithDiskCache(dir))
-	if _, err := c.Complete(context.Background(), req); err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt every cached file.
-	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
-			return err
-		}
-		return os.WriteFile(path, []byte("not json"), 0o644)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2 := NewClient(bot, WithDiskCache(dir))
-	if _, err := c2.Complete(context.Background(), req); err != nil {
-		t.Fatal(err)
-	}
-	if got := atomic.LoadInt32(&bot.calls); got != 2 {
-		t.Errorf("corrupt entry should force re-completion (calls=%d)", got)
-	}
 }

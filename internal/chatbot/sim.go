@@ -517,7 +517,6 @@ var (
 	protectionLabels = sync.OnceValue(taxonomy.ProtectionLabels)
 	choiceLabels     = sync.OnceValue(taxonomy.ChoiceLabels)
 	accessLabels     = sync.OnceValue(taxonomy.AccessLabels)
-
 )
 
 // verbatim recovers the original-case substring of line matching cue; low

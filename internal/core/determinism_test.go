@@ -57,16 +57,13 @@ func TestCheckpointResumeAfterCancel(t *testing.T) {
 	// First run: cancel once a third of the domains have completed.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	p1, err := New(Config{Limit: limit, Workers: 4, Checkpoint: ckpt,
+	_, err := runCheckpointed(ctx, t, ckpt, Config{Limit: limit, Workers: 4,
 		Progress: func(stage string, done, total int) {
 			if stage == "process" && done >= 10 {
 				cancel()
 			}
 		}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p1.Run(ctx); err == nil {
+	if err == nil {
 		t.Fatal("canceled run should return an error")
 	}
 
@@ -85,16 +82,12 @@ func TestCheckpointResumeAfterCancel(t *testing.T) {
 
 	// Resume: only the domains missing from the checkpoint are processed.
 	reprocessed := 0
-	p2, err := New(Config{Limit: limit, Workers: 4, Checkpoint: ckpt,
+	resumed, err := runCheckpointed(context.Background(), t, ckpt, Config{Limit: limit, Workers: 4,
 		Progress: func(stage string, done, total int) {
 			if stage == "process" {
 				reprocessed++
 			}
 		}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed, err := p2.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,11 +40,6 @@ type Config struct {
 	HTTPClient *http.Client
 	// Workers bounds per-domain parallelism (default 8).
 	Workers int
-	// LLMConcurrency bounds in-flight chatbot calls across all workers
-	// (default 4×Workers — each domain worker fans out its four annotation
-	// aspects concurrently). Ignored when Bot is supplied: a caller-built
-	// chatbot carries its own concurrency limit.
-	LLMConcurrency int
 	// Limit processes only the first N domains (0 = all).
 	Limit int
 	// DomainFilter, when set, restricts the run to the study domains the
@@ -61,20 +56,12 @@ type Config struct {
 	// demand from the seed — so runs of 100k+ domains keep a flat
 	// footprint. The default size is byte-identical to prior releases.
 	UniverseDomains int
-	// Window bounds the delivery lookahead: at most Window domain
-	// outcomes are in flight or parked awaiting in-order delivery at
-	// once (default 4×Workers, min Workers). The pipeline never holds
-	// more than this many completed-but-undelivered records, whatever
-	// the universe size.
-	Window int
 	// DiscardRecords drops the per-domain records from the returned
-	// Result (Result.Records is nil): records stream to Store/Checkpoint
-	// and the funnel accumulates incrementally, so a 100k-domain run's
-	// memory stays flat instead of growing with the dataset. Requires a
-	// Store or Checkpoint if the records are wanted afterwards.
+	// Result (Result.Records is nil): records stream to Store and the
+	// funnel accumulates incrementally, so a 100k-domain run's memory
+	// stays flat instead of growing with the dataset. Requires a Store
+	// if the records are wanted afterwards.
 	DiscardRecords bool
-	// AnnotateOptions tune the annotator (glossary size, filters, ...).
-	AnnotateOptions []annotate.Option
 	// Crawler overrides crawl policy knobs (Client is filled in by the
 	// pipeline).
 	Crawler crawler.Config
@@ -90,18 +77,14 @@ type Config struct {
 	// (0, 0) when a checkpoint append fails; it never carries the
 	// terminal tick.
 	Progress func(stage string, done, total int)
-	// Checkpoint, when set, streams each completed record to this JSONL
-	// file and, on start, skips domains already present in it — an
-	// interrupted multi-hour crawl resumes where it stopped. The
-	// checkpoint is stamped with the run Seed; resuming it under a
-	// different seed is refused (the synthetic web, and therefore every
-	// record, is a function of the seed — mixing seeds would silently
-	// corrupt the dataset).
-	Checkpoint string
-	// Store, when set, overrides Checkpoint with a caller-supplied
-	// backend (in-memory, binary, ...). Completed records stream into
-	// it, domains already present are skipped on start, and the caller
-	// keeps ownership: the pipeline never closes it.
+	// Store, when set, is the run's checkpoint (JSONL, binary, in-memory,
+	// ...): each completed record streams into it and, on start, domains
+	// already present are skipped — an interrupted multi-hour crawl
+	// resumes where it stopped. A store that carries metadata is stamped
+	// with the run Seed; resuming it under a different seed is refused
+	// (the synthetic web, and therefore every record, is a function of
+	// the seed — mixing seeds would silently corrupt the dataset). The
+	// caller keeps ownership: the pipeline never closes it.
 	Store store.Store
 	// Registry receives all pipeline metrics — its own and those of the
 	// crawler, chatbot client, and annotator it builds (default: the
@@ -112,10 +95,6 @@ type Config struct {
 	// component ("core", "crawler", ...). Nil disables logging. Every
 	// line carries the run ID so interleaved multi-run streams separate.
 	Logger *obs.Logger
-	// RunID labels this run's logs, spans, and flight-recorder events
-	// (default: obs.DeriveRunID(Seed) — seed-derived, so same-seed runs
-	// carry the same ID and their telemetry is byte-comparable).
-	RunID string
 	// TraceExporter, when set, receives every completed span (see
 	// obs.NewFileExporter). The caller owns Close. Unless
 	// TelemetryTimings is set, spans export with deterministic IDs and
@@ -141,6 +120,7 @@ type Config struct {
 // Pipeline is a configured end-to-end run.
 type Pipeline struct {
 	cfg       Config
+	runID     string
 	gen       *webgen.Generator
 	companies []russell.Company
 	domains   []russell.DomainInfo
@@ -233,19 +213,16 @@ func New(cfg Config) (*Pipeline, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 8
 	}
-	if cfg.LLMConcurrency <= 0 {
-		cfg.LLMConcurrency = 4 * cfg.Workers
-	}
-	if cfg.RunID == "" {
-		cfg.RunID = obs.DeriveRunID(cfg.Seed)
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = obs.SystemClock
 	}
-	// Bind the run ID before any component logger is derived, so the
-	// crawler's and annotator's lines carry it too.
-	cfg.Logger = cfg.Logger.WithAttrs("run", cfg.RunID)
-	p := &Pipeline{cfg: cfg, reg: cfg.Registry, log: cfg.Logger.With("core")}
+	// The run ID is seed-derived, so same-seed runs carry the same ID
+	// and their telemetry is byte-comparable. Bind it before any
+	// component logger is derived, so the crawler's and annotator's
+	// lines carry it too.
+	runID := obs.DeriveRunID(cfg.Seed)
+	cfg.Logger = cfg.Logger.WithAttrs("run", runID)
+	p := &Pipeline{cfg: cfg, runID: runID, reg: cfg.Registry, log: cfg.Logger.With("core")}
 	p.met = newPipeMetrics(cfg.Registry)
 	// One weights table for the whole run: the flight recorder scores
 	// every annotated record, and DefaultWeights allocates maps.
@@ -278,16 +255,16 @@ func New(cfg Config) (*Pipeline, error) {
 	}
 	p.crawler = cr
 
-	// Chatbot + annotator.
+	// Chatbot + annotator. The default bot allows 4×Workers calls in
+	// flight: each domain worker fans out its four annotation aspects
+	// concurrently. A caller-built Bot carries its own limit.
 	p.bot = cfg.Bot
 	if p.bot == nil {
 		p.bot = chatbot.NewClient(chatbot.NewSim(chatbot.GPT4Profile()),
-			chatbot.WithConcurrency(cfg.LLMConcurrency), chatbot.WithCache(false),
+			chatbot.WithConcurrency(4*cfg.Workers), chatbot.WithCache(false),
 			chatbot.WithRegistry(cfg.Registry))
 	}
-	// WithRegistry goes first so caller-supplied options can override it.
-	aopts := append([]annotate.Option{annotate.WithRegistry(cfg.Registry)}, cfg.AnnotateOptions...)
-	p.annotator = annotate.New(p.bot, aopts...)
+	p.annotator = annotate.New(p.bot, annotate.WithRegistry(cfg.Registry))
 
 	// The two engine stages this pipeline dispatches onto: domains fan
 	// out across cfg.Workers, and each domain's privacy pages fan out
@@ -315,7 +292,7 @@ func (p *Pipeline) Domains() []russell.DomainInfo { return p.domains }
 func (p *Pipeline) Bot() chatbot.Chatbot { return p.bot }
 
 // RunID exposes the run identifier stamped on this run's telemetry.
-func (p *Pipeline) RunID() string { return p.cfg.RunID }
+func (p *Pipeline) RunID() string { return p.runID }
 
 // Run executes the full pipeline.
 func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
@@ -336,7 +313,7 @@ func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
 	// (a few dozen bytes) always; the full record only when the caller
 	// wants Result.Records. DiscardRecords is what keeps a 100k-domain
 	// run's memory flat — records then exist only in flight (bounded by
-	// Window) and in the store.
+	// the delivery window) and in the store.
 	cells := make([]FunnelCell, len(domains))
 	var records []store.Record
 	if !p.cfg.DiscardRecords {
@@ -347,7 +324,7 @@ func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
 	// times its region into the stage histogram. With an exporter
 	// configured, completed spans also stream to it — with
 	// deterministic IDs unless the caller asked for wall timings.
-	topts := []obs.TracerOption{obs.WithRunID(p.cfg.RunID), obs.WithTracerClock(p.cfg.Clock)}
+	topts := []obs.TracerOption{obs.WithRunID(p.runID), obs.WithTracerClock(p.cfg.Clock)}
 	if p.cfg.TraceExporter != nil {
 		topts = append(topts, obs.WithExporter(p.cfg.TraceExporter))
 		if !p.cfg.TelemetryTimings {
@@ -388,18 +365,9 @@ func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
 	}
 	defer finish()
 
-	// Storage: a caller-supplied Store wins; otherwise Checkpoint names a
-	// JSONL store the pipeline owns (and closes). Records stream in as
-	// they complete and domains already present are skipped.
+	// Storage: records stream into the caller's Store as they complete
+	// and domains already present are skipped.
 	st := p.cfg.Store
-	if st == nil && p.cfg.Checkpoint != "" {
-		js, err := store.OpenJSONL(p.cfg.Checkpoint)
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		defer js.Close()
-		st = js
-	}
 	// Resume bookkeeping is positional: the study list is domain-sorted
 	// (search.ResolveUniverse sorts it), so a binary search maps each
 	// checkpointed record to its slot without holding a map of full
@@ -436,7 +404,7 @@ func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
 	}
 	done = resumed
 	p.log.Info("run starting", "domains", len(domains), "resumed", resumed,
-		"workers", p.cfg.Workers, "llm_concurrency", p.cfg.LLMConcurrency)
+		"workers", p.cfg.Workers)
 
 	// The unprocessed tail, in submission order; todoIdx maps each item
 	// back to its slot in the study list.
@@ -502,18 +470,11 @@ func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
 		progressMu.Unlock()
 	}
 	// Dispatch through the bounded stream: the stage holds at most
-	// window outcomes in flight or parked for in-order delivery, so the
-	// producer→stage→sink chain runs in constant memory however long the
-	// study list is.
-	window := p.cfg.Window
-	if window <= 0 {
-		window = 4 * p.cfg.Workers
-	}
-	if window < p.cfg.Workers {
-		window = p.cfg.Workers
-	}
+	// 4×Workers outcomes in flight or parked for in-order delivery, so
+	// the producer→stage→sink chain runs in constant memory however long
+	// the study list is.
 	item := func(i int) russell.DomainInfo { return todo[i] }
-	if err := p.procStage.StreamDeliver(ctx, len(todo), window, item, deliver); err != nil {
+	if err := p.procStage.StreamDeliver(ctx, len(todo), 4*p.cfg.Workers, item, deliver); err != nil {
 		progressMu.Lock()
 		dispatched := done - resumed
 		progressMu.Unlock()
@@ -556,28 +517,6 @@ func (p *Pipeline) stampSeed(st store.Store) error {
 		}
 	}
 	return nil
-}
-
-// ProcessDomains runs crawl → extract → annotate for a specific domain
-// subset (used by the §6 model-comparison harness), sequentially.
-func (p *Pipeline) ProcessDomains(ctx context.Context, domains []string) ([]store.Record, error) {
-	byDomain := map[string]russell.DomainInfo{}
-	for _, d := range p.domains {
-		byDomain[d.Domain] = d
-	}
-	var out []store.Record
-	for _, dom := range domains {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		info, ok := byDomain[dom]
-		if !ok {
-			return nil, fmt.Errorf("core: domain %q is not in the study universe", dom)
-		}
-		rec, _ := p.processDomain(ctx, info)
-		out = append(out, rec)
-	}
-	return out, nil
 }
 
 // domainOutcome pairs a domain's dataset record with its flight-recorder
@@ -646,7 +585,7 @@ func (p *Pipeline) domainWork(ctx context.Context, d russell.DomainInfo) (store.
 		rec.Tickers = append(rec.Tickers, c.Ticker)
 	}
 	sort.Strings(rec.Tickers)
-	ev := store.Event{RunID: p.cfg.RunID, Domain: d.Domain, Sector: d.Sector}
+	ev := store.Event{RunID: p.runID, Domain: d.Domain, Sector: d.Sector}
 
 	cctx, cspan := obs.StartSpan(ctx, "crawl")
 	cres := p.crawler.CrawlDomain(cctx, d.Domain)

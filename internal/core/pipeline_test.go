@@ -152,11 +152,7 @@ func TestCheckpointResume(t *testing.T) {
 	ckpt := t.TempDir() + "/checkpoint.jsonl"
 
 	// First run: 12 domains, all written to the checkpoint.
-	p1, err := New(Config{Limit: 12, Workers: 4, Checkpoint: ckpt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res1, err := p1.Run(context.Background())
+	res1, err := runCheckpointed(context.Background(), t, ckpt, Config{Limit: 12, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,12 +163,8 @@ func TestCheckpointResume(t *testing.T) {
 	// progress bars close even when there is nothing left to do.
 	calls := 0
 	var lastDone, lastTotal int
-	p2, err := New(Config{Limit: 12, Workers: 4, Checkpoint: ckpt,
+	res2, err := runCheckpointed(context.Background(), t, ckpt, Config{Limit: 12, Workers: 4,
 		Progress: func(_ string, done, total int) { calls++; lastDone, lastTotal = done, total }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res2, err := p2.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,12 +184,8 @@ func TestCheckpointResume(t *testing.T) {
 
 	// Third run extends the limit: only the new domains are processed.
 	calls = 0
-	p3, err := New(Config{Limit: 15, Workers: 4, Checkpoint: ckpt,
+	res3, err := runCheckpointed(context.Background(), t, ckpt, Config{Limit: 15, Workers: 4,
 		Progress: func(string, int, int) { calls++ }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res3, err := p3.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -117,22 +117,33 @@ func TestSeedStampRefusesMismatchedResume(t *testing.T) {
 	}
 }
 
-// TestSeedMismatchOnCheckpointPath exercises the same refusal through
-// the legacy Config.Checkpoint path (JSONL + sidecar).
+// runCheckpointed runs cfg against a JSONL checkpoint at path, opened
+// for this run alone and closed after it — the way each `aipan run
+// --checkpoint` invocation reopens its checkpoint.
+func runCheckpointed(ctx context.Context, t *testing.T, path string, cfg Config) (*Result, error) {
+	t.Helper()
+	st, err := store.OpenJSONL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	cfg.Store = st
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p.Run(ctx)
+}
+
+// TestSeedMismatchOnCheckpointPath exercises the same refusal on a JSONL
+// checkpoint reopened for each run (the stamp lives in its sidecar).
 func TestSeedMismatchOnCheckpointPath(t *testing.T) {
 	ckpt := t.TempDir() + "/ck.jsonl"
-	p, err := New(Config{Limit: 3, Workers: 2, Checkpoint: ckpt})
-	if err != nil {
+	if _, err := runCheckpointed(context.Background(), t, ckpt, Config{Limit: 3, Workers: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	p2, err := New(Config{Limit: 3, Workers: 2, Seed: 77, Checkpoint: ckpt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p2.Run(context.Background()); err == nil || !strings.Contains(err.Error(), "seed") {
+	_, err := runCheckpointed(context.Background(), t, ckpt, Config{Limit: 3, Workers: 2, Seed: 77})
+	if err == nil || !strings.Contains(err.Error(), "seed") {
 		t.Fatalf("mismatched-seed checkpoint resume: err = %v, want a seed refusal", err)
 	}
 }
@@ -212,33 +223,5 @@ func TestShardedResumeAfterCancel(t *testing.T) {
 		if string(a) != string(b) {
 			t.Errorf("record %d (%s) differs after sharded resume", i, clean.Records[i].Domain)
 		}
-	}
-}
-
-// TestProcessDomainsErrorPaths covers the §6 harness entry point's
-// failure modes: a domain outside the study universe and a canceled
-// context both error out instead of returning partial data.
-func TestProcessDomainsErrorPaths(t *testing.T) {
-	p, err := New(Config{Limit: 5, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	known := p.Domains()[0].Domain
-
-	if _, err := p.ProcessDomains(context.Background(), []string{"not-in-universe.example"}); err == nil ||
-		!strings.Contains(err.Error(), "not in the study universe") {
-		t.Fatalf("unknown domain: err = %v, want a study-universe error", err)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := p.ProcessDomains(ctx, []string{known}); err != context.Canceled {
-		t.Fatalf("canceled ProcessDomains: err = %v, want context.Canceled", err)
-	}
-
-	// The happy path still works after the failures above.
-	recs, err := p.ProcessDomains(context.Background(), []string{known})
-	if err != nil || len(recs) != 1 || recs[0].Domain != known {
-		t.Fatalf("ProcessDomains(%s) = %d records, %v", known, len(recs), err)
 	}
 }

@@ -23,7 +23,7 @@ func TestDiscardRecordsMatchesRetained(t *testing.T) {
 	}
 
 	discardStore := store.NewMem()
-	p, err := New(Config{Limit: 40, Workers: 8, Store: discardStore, DiscardRecords: true, Window: 9})
+	p, err := New(Config{Limit: 40, Workers: 2, Store: discardStore, DiscardRecords: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestProgressTicksMonotoneWithTerminal(t *testing.T) {
 
 	t.Run("fresh-run", func(t *testing.T) {
 		var ticks []progressTick
-		p, err := New(Config{Limit: 25, Workers: 6, Window: 7, Progress: record(&ticks)})
+		p, err := New(Config{Limit: 25, Workers: 2, Progress: record(&ticks)})
 		if err != nil {
 			t.Fatal(err)
 		}

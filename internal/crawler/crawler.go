@@ -32,12 +32,6 @@ import (
 type Config struct {
 	// Client performs the HTTP requests. Required.
 	Client *http.Client
-	// UserAgent is sent on every request.
-	UserAgent string
-	// MaxFooterLinks caps footer privacy links followed (default 3).
-	MaxFooterLinks int
-	// MaxTopLinks caps top-of-page privacy links per seed page (default 5).
-	MaxTopLinks int
 	// MaxPages caps total fetched pages per site (default 31).
 	MaxPages int
 	// Delay is the politeness pause between same-site requests.
@@ -62,23 +56,22 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.MaxFooterLinks == 0 {
-		c.MaxFooterLinks = 3
-	}
-	if c.MaxTopLinks == 0 {
-		c.MaxTopLinks = 5
-	}
 	if c.MaxPages == 0 {
 		c.MaxPages = 31
 	}
 	if c.MaxBodyBytes == 0 {
 		c.MaxBodyBytes = 4 << 20
 	}
-	if c.UserAgent == "" {
-		c.UserAgent = "aipan-research-crawler/1.0"
-	}
 	return c
 }
+
+// The §3.1 crawl policy's fixed link budgets, and the user agent sent on
+// every request (and matched against robots.txt groups).
+const (
+	maxFooterLinks = 3 // footer privacy links followed from the homepage
+	maxTopLinks    = 5 // top-of-page privacy links per seed page
+	userAgent      = "aipan-research-crawler/1.0"
+)
 
 // wellKnownPaths are probed on every domain (§3.1).
 var wellKnownPaths = []string{"/privacy-policy", "/privacy"}
@@ -357,8 +350,8 @@ func (c *Crawler) CrawlDomain(ctx context.Context, domain string) *Result {
 	if !c.cfg.SkipFooter && home.OK() && home.IsHTML() {
 		doc := htmlx.Parse(home.Body)
 		links := privacyLinks(doc, base)
-		if n := len(links); n > c.cfg.MaxFooterLinks {
-			links = links[n-c.cfg.MaxFooterLinks:] // bottom-most
+		if n := len(links); n > maxFooterLinks {
+			links = links[n-maxFooterLinks:] // bottom-most
 		}
 		seeds = append(seeds, links...)
 	}
@@ -406,8 +399,8 @@ func (c *Crawler) CrawlDomain(ctx context.Context, domain string) *Result {
 			}
 			doc := htmlx.Parse(sp.Body)
 			links := privacyLinks(doc, mustParse(sp.FinalURL, domain))
-			if len(links) > c.cfg.MaxTopLinks {
-				links = links[:c.cfg.MaxTopLinks] // top-most
+			if len(links) > maxTopLinks {
+				links = links[:maxTopLinks] // top-most
 			}
 			for _, l := range links {
 				if sameURL(l, base) {
@@ -492,7 +485,7 @@ func (c *Crawler) doFetch(ctx context.Context, u *url.URL) *Page {
 		p.FetchErr = err.Error()
 		return p
 	}
-	req.Header.Set("User-Agent", c.cfg.UserAgent)
+	req.Header.Set("User-Agent", userAgent)
 	resp, err := c.cfg.Client.Do(req)
 	if err != nil {
 		p.FetchErr = err.Error()
@@ -550,7 +543,7 @@ func (c *Crawler) fetchRobots(ctx context.Context, domain string) robotsRules {
 	if !p.OK() {
 		return robotsRules{}
 	}
-	return parseRobots(p.Body, c.cfg.UserAgent)
+	return parseRobots(p.Body, userAgent)
 }
 
 // privacyLinks extracts same-host links whose text or href contains

@@ -1,9 +1,9 @@
 package store
 
 import (
+	"bufio"
 	"encoding/csv"
 	"fmt"
-	"os"
 	"strconv"
 )
 
@@ -33,32 +33,19 @@ func writeAnnotationRows(w *csv.Writer, rec *Record) error {
 	return nil
 }
 
-// WriteAnnotationsCSV writes one row per annotation across all records.
+// WriteAnnotationsCSV atomically writes one row per annotation across
+// all records.
 func WriteAnnotationsCSV(path string, records []Record) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("store: creating %s: %w", path, err)
-	}
-	w := csv.NewWriter(f)
-	if err := w.Write(annotationHeader); err != nil {
-		_ = f.Close()
-		return fmt.Errorf("store: writing header: %w", err)
-	}
-	for i := range records {
-		if err := writeAnnotationRows(w, &records[i]); err != nil {
-			_ = f.Close()
-			return err
-		}
-	}
-	w.Flush()
-	if err := w.Error(); err != nil {
-		_ = f.Close()
-		return fmt.Errorf("store: flushing csv: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("store: closing %s: %w", path, err)
-	}
-	return nil
+	return writeStaged(path, func(w *bufio.Writer) error {
+		return writeCSV(w, annotationHeader, func(cw *csv.Writer) error {
+			for i := range records {
+				if err := writeAnnotationRows(cw, &records[i]); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	})
 }
 
 // domainHeader is the per-domain CSV schema.
@@ -85,30 +72,33 @@ func writeDomainRow(w *csv.Writer, rec *Record) error {
 	return nil
 }
 
-// WriteDomainsCSV writes one row per domain.
+// WriteDomainsCSV atomically writes one row per domain.
 func WriteDomainsCSV(path string, records []Record) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("store: creating %s: %w", path, err)
-	}
-	w := csv.NewWriter(f)
-	if err := w.Write(domainHeader); err != nil {
-		_ = f.Close()
+	return writeStaged(path, func(w *bufio.Writer) error {
+		return writeCSV(w, domainHeader, func(cw *csv.Writer) error {
+			for i := range records {
+				if err := writeDomainRow(cw, &records[i]); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	})
+}
+
+// writeCSV writes header and then the rows emitted by rows to w — the
+// one CSV framing both the slice writers and the store exports use.
+func writeCSV(w *bufio.Writer, header []string, rows func(*csv.Writer) error) error {
+	cw := csv.NewWriter(w)
+	if err := cw.Write(header); err != nil {
 		return fmt.Errorf("store: writing header: %w", err)
 	}
-	for i := range records {
-		if err := writeDomainRow(w, &records[i]); err != nil {
-			_ = f.Close()
-			return err
-		}
+	if err := rows(cw); err != nil {
+		return err
 	}
-	w.Flush()
-	if err := w.Error(); err != nil {
-		_ = f.Close()
+	cw.Flush()
+	if err := cw.Error(); err != nil {
 		return fmt.Errorf("store: flushing csv: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("store: closing %s: %w", path, err)
 	}
 	return nil
 }

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 )
@@ -226,35 +225,14 @@ func sortedScan(st Store, fn func(*Record) error) error {
 
 // ---------------------------------------------------- staged exporters
 
-// exportStaged builds an export in a temp file next to path and renames
-// it in on success, so readers never see a partial file. emit writes
-// the whole export through the scan it is handed; it runs once with the
-// constant-memory sortedScan and — only if that aborts because a shard
-// turns out unsorted — once more, on a fresh temp file, with the
-// materializing fallback.
+// exportStaged builds an export through writeStaged, so readers never
+// see a partial file. emit writes the whole export through the scan it
+// is handed; it runs once with the constant-memory sortedScan and —
+// only if that aborts because a shard turns out unsorted — once more,
+// on a fresh temp file, with the materializing fallback.
 func exportStaged(path string, emit func(w *bufio.Writer, scan scanFunc) error) error {
 	do := func(scan scanFunc) error {
-		tmp, err := os.CreateTemp(filepath.Dir(path), ".aipan-export-*")
-		if err != nil {
-			return fmt.Errorf("store: creating temp file: %w", err)
-		}
-		defer os.Remove(tmp.Name())
-		w := bufio.NewWriter(tmp)
-		if err := emit(w, scan); err != nil {
-			_ = tmp.Close()
-			return err
-		}
-		if err := w.Flush(); err != nil {
-			_ = tmp.Close()
-			return fmt.Errorf("store: flushing: %w", err)
-		}
-		if err := tmp.Close(); err != nil {
-			return fmt.Errorf("store: closing temp file: %w", err)
-		}
-		if err := os.Rename(tmp.Name(), path); err != nil {
-			return fmt.Errorf("store: committing %s: %w", path, err)
-		}
-		return nil
+		return writeStaged(path, func(w *bufio.Writer) error { return emit(w, scan) })
 	}
 	err := do(sortedScan)
 	if errors.Is(err, errShardDisorder) {
@@ -271,20 +249,9 @@ type scanFunc func(Store, func(*Record) error) error
 // WriteAnnotationsCSV over the domain-sorted record slice.
 func ExportAnnotationsCSV(path string, st Store) error {
 	return exportStaged(path, func(w *bufio.Writer, scan scanFunc) error {
-		cw := csv.NewWriter(w)
-		if err := cw.Write(annotationHeader); err != nil {
-			return fmt.Errorf("store: writing header: %w", err)
-		}
-		if err := scan(st, func(rec *Record) error {
-			return writeAnnotationRows(cw, rec)
-		}); err != nil {
-			return err
-		}
-		cw.Flush()
-		if err := cw.Error(); err != nil {
-			return fmt.Errorf("store: flushing csv: %w", err)
-		}
-		return nil
+		return writeCSV(w, annotationHeader, func(cw *csv.Writer) error {
+			return scan(st, func(rec *Record) error { return writeAnnotationRows(cw, rec) })
+		})
 	})
 }
 
@@ -293,20 +260,9 @@ func ExportAnnotationsCSV(path string, st Store) error {
 // the domain-sorted record slice.
 func ExportDomainsCSV(path string, st Store) error {
 	return exportStaged(path, func(w *bufio.Writer, scan scanFunc) error {
-		cw := csv.NewWriter(w)
-		if err := cw.Write(domainHeader); err != nil {
-			return fmt.Errorf("store: writing header: %w", err)
-		}
-		if err := scan(st, func(rec *Record) error {
-			return writeDomainRow(cw, rec)
-		}); err != nil {
-			return err
-		}
-		cw.Flush()
-		if err := cw.Error(); err != nil {
-			return fmt.Errorf("store: flushing csv: %w", err)
-		}
-		return nil
+		return writeCSV(w, domainHeader, func(cw *csv.Writer) error {
+			return scan(st, func(rec *Record) error { return writeDomainRow(cw, rec) })
+		})
 	})
 }
 

@@ -55,21 +55,20 @@ type Record struct {
 // (the paper's 2,529 denominator).
 func (r *Record) Annotated() bool { return len(r.Annotations) > 0 }
 
-// WriteJSONL atomically writes records to path.
-func WriteJSONL(path string, records []Record) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".aipan-*.jsonl")
+// writeStaged is the one atomic file writer: fill writes the content
+// through a buffered writer into a temp file next to path, which is
+// flushed, closed and renamed over path only on success — readers never
+// see a partial file, and a reader holding the old file keeps it whole.
+func writeStaged(path string, fill func(w *bufio.Writer) error) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".aipan-*")
 	if err != nil {
 		return fmt.Errorf("store: creating temp file: %w", err)
 	}
 	defer os.Remove(tmp.Name())
 	w := bufio.NewWriter(tmp)
-	enc := json.NewEncoder(w)
-	for i := range records {
-		if err := enc.Encode(&records[i]); err != nil {
-			_ = tmp.Close()
-			return fmt.Errorf("store: encoding record %d (%s): %w", i, records[i].Domain, err)
-		}
+	if err := fill(w); err != nil {
+		_ = tmp.Close()
+		return err
 	}
 	if err := w.Flush(); err != nil {
 		_ = tmp.Close()
@@ -82,6 +81,19 @@ func WriteJSONL(path string, records []Record) error {
 		return fmt.Errorf("store: committing %s: %w", path, err)
 	}
 	return nil
+}
+
+// WriteJSONL atomically writes records to path.
+func WriteJSONL(path string, records []Record) error {
+	return writeStaged(path, func(w *bufio.Writer) error {
+		enc := json.NewEncoder(w)
+		for i := range records {
+			if err := enc.Encode(&records[i]); err != nil {
+				return fmt.Errorf("store: encoding record %d (%s): %w", i, records[i].Domain, err)
+			}
+		}
+		return nil
+	})
 }
 
 // ReadJSONL loads a dataset written by WriteJSONL.

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -64,6 +65,39 @@ func TestWriteAtomicReplace(t *testing.T) {
 	}
 	if len(got) != 1 {
 		t.Errorf("got %d records after overwrite", len(got))
+	}
+}
+
+// TestSliceWritersReplaceNotTruncate pins the atomic-write contract on
+// every slice writer: the new file is staged and renamed in, so a reader
+// holding the old file keeps reading the old bytes — an in-place rewrite
+// would show it a truncated, half-written file instead.
+func TestSliceWritersReplaceNotTruncate(t *testing.T) {
+	for name, write := range map[string]func(string, []Record) error{
+		"WriteJSONL":          WriteJSONL,
+		"WriteAnnotationsCSV": WriteAnnotationsCSV,
+		"WriteDomainsCSV":     WriteDomainsCSV,
+	} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "out")
+			if err := os.WriteFile(path, []byte("OLD"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			f, err := os.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			if err := write(path, sampleRecords()); err != nil {
+				t.Fatal(err)
+			}
+			if held, err := io.ReadAll(f); err != nil || string(held) != "OLD" {
+				t.Errorf("open reader sees %q (err=%v), want the old file's %q", held, err, "OLD")
+			}
+			if now, err := os.ReadFile(path); err != nil || len(now) == 0 || string(now) == "OLD" {
+				t.Errorf("path holds %q (err=%v), want the new file", now, err)
+			}
+		})
 	}
 }
 

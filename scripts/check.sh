@@ -12,6 +12,16 @@ go build ./...
 echo "==> go vet ./..."
 go vet ./...
 
+echo "==> gofmt -l (every .go file outside testdata/ and .bench_build/)"
+# testdata/ holds analyzer fixtures whose layout the golden findings pin;
+# .bench_build/ holds perfbench/run.sh's build products and Go caches.
+unformatted=$(find . \( -name testdata -o -name .bench_build \) -prune -o -name '*.go' -exec gofmt -l {} +)
+if [ -n "$unformatted" ]; then
+  echo "FAIL: gofmt would reformat:"
+  echo "$unformatted"
+  exit 1
+fi
+
 echo "==> aipanvet ./... (repo-specific static analysis, wall ceiling ${AIPAN_VET_TIME_CEILING:=120}s)"
 # -timing prints the per-checker breakdown (and the shared call-graph
 # build) to stderr; the wall gate keeps the interprocedural checkers
