@@ -697,6 +697,11 @@ func cmdServe(args []string) error {
 	if err := sf.validate(); err != nil {
 		return err
 	}
+	// The store constructors open for appending and create a missing
+	// path, which would serve an empty dataset and report ready.
+	if _, err := os.Stat(*data); err != nil {
+		return fmt.Errorf("serve: no dataset to serve: %w", err)
+	}
 	st, err := aipan.OpenDatasetStore(sf.storeSpec, *data)
 	if err != nil {
 		return err

@@ -142,3 +142,20 @@ func TestServeFlagsValidate(t *testing.T) {
 		})
 	}
 }
+
+// TestServeRefusesMissingDataset: a mistyped --data must fail naming the
+// path, not serve an empty dataset that the store constructors created.
+func TestServeRefusesMissingDataset(t *testing.T) {
+	for _, spec := range []string{"jsonl", "binary:4"} {
+		t.Run(spec, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "typo")
+			err := cmdServe([]string{"--store", spec, "--data", path, "--addr", "127.0.0.1:0"})
+			if err == nil || !strings.Contains(err.Error(), path) {
+				t.Fatalf("serve --store %s --data <missing> = %v, want an error naming %s", spec, err, path)
+			}
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Errorf("serve created %s (stat err %v)", path, err)
+			}
+		})
+	}
+}

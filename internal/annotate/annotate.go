@@ -181,21 +181,18 @@ type aspectCall struct {
 // docContext bundles the per-document state shared by the four aspect
 // annotations: the rendered document, its segmentation, the numbered
 // whole-text prompt rendering (built once instead of once per fallback),
-// and the lazily-built token index backing the hallucination filter.
+// and the per-line memo behind the hallucination filter and the context
+// sentence (docindex.go).
 type docContext struct {
 	doc      *textify.Document
 	seg      *segment.Result
 	numbered string
 
-	tokensOnce sync.Once
-	tokens     *docIndex
-}
-
-// index returns the document token index, building it on first use (the
-// filter-off ablation never pays for it).
-func (dc *docContext) index() *docIndex {
-	dc.tokensOnce.Do(func() { dc.tokens = indexDocument(dc.doc) })
-	return dc.tokens
+	// mu guards the memo below: the four aspects share it concurrently.
+	mu     sync.Mutex
+	lines  []lineMemo       // by line index
+	toks   []string         // backing buffer of every memoized stem slice
+	byWord map[string][]int // posting index, built on the first referenced-line miss
 }
 
 // Annotate produces all annotations for one rendered, segmented policy.
@@ -208,7 +205,7 @@ func (dc *docContext) index() *docIndex {
 // in fixed aspect order, so the output is byte-identical to a sequential
 // run.
 func (an *Annotator) Annotate(ctx context.Context, doc *textify.Document, seg *segment.Result) (*Result, error) {
-	dc := &docContext{doc: doc, seg: seg, numbered: doc.NumberedText()}
+	dc := &docContext{doc: doc, seg: seg, numbered: doc.NumberedText(), lines: make([]lineMemo, len(doc.Lines))}
 	calls := []aspectCall{
 		{"types", dc, an.annotateTypes},
 		{"purposes", dc, an.annotatePurposes},
@@ -259,27 +256,12 @@ func (an *Annotator) sectionOrFallback(dc *docContext, a taxonomy.Aspect) (strin
 	return dc.numbered, true
 }
 
-// verifyMention implements the hallucination check: the extracted words
-// must be present (possibly discontinuously) on the referenced line, or
-// anywhere in the policy as a lenient second chance.
-func (an *Annotator) verifyMention(dc *docContext, line int, text string) bool {
-	if !an.verify {
-		return true
-	}
-	ix := dc.index()
-	pw := stemmedWords(text)
-	if ix.lineContains(line-1, pw) {
-		return true
-	}
-	return ix.anywhere(pw)
-}
-
-// contextOf recovers the containing sentence for Table 6.
-func contextOf(doc *textify.Document, line int, text string) string {
-	if l, ok := doc.LineByNumber(line); ok {
-		return nlp.SentenceOf(l.Text, text)
-	}
-	return ""
+// verifyMention implements the hallucination check on a mention's
+// stemmed words pw: they must be present (possibly discontinuously) on
+// the referenced line, or anywhere in the policy as a lenient second
+// chance.
+func (an *Annotator) verifyMention(dc *docContext, line int, pw []string) bool {
+	return !an.verify || dc.mentionPresent(line, pw)
 }
 
 // ------------------------------------------------------- types & purposes
@@ -335,19 +317,27 @@ func (an *Annotator) annotateNormalized(
 	}
 
 	// Hallucination filter, then collect unique surfaces for normalization.
-	var kept []chatbot.Extraction
+	// Each kept mention carries its stemmed words (for the context
+	// sentence) and its normalized key (for the normalization lookup).
+	type keptMention struct {
+		chatbot.Extraction
+		words []string
+		key   string
+	}
+	var kept []keptMention
 	surfaceSet := map[string]bool{}
 	var surfaces []string
 	for _, e := range extractions {
 		if e.Text == "" {
 			continue
 		}
-		if !an.verifyMention(dc, e.Line, e.Text) {
+		pw := stemmedWords(e.Text)
+		if !an.verifyMention(dc, e.Line, pw) {
 			res.Dropped++
 			continue
 		}
-		kept = append(kept, e)
 		key := nlp.NormalizeStemmed(e.Text)
+		kept = append(kept, keptMention{e, pw, key})
 		if !surfaceSet[key] {
 			surfaceSet[key] = true
 			surfaces = append(surfaces, e.Text)
@@ -373,7 +363,7 @@ func (an *Annotator) annotateNormalized(
 	known := ix.KnownDescriptors()
 
 	for _, e := range kept {
-		n, ok := normOf[nlp.NormalizeStemmed(e.Text)]
+		n, ok := normOf[e.key]
 		if !ok || n.Category == "" || n.Meta == "" {
 			continue // unplaceable mention: discarded like the paper's junk rows
 		}
@@ -384,7 +374,7 @@ func (an *Annotator) annotateNormalized(
 			Descriptor: n.Descriptor,
 			Text:       e.Text,
 			Line:       e.Line,
-			Context:    contextOf(dc.doc, e.Line, e.Text),
+			Context:    dc.contextSentence(e.Line, e.words),
 			Novel:      !known[nlp.NormalizeStemmed(n.Descriptor)],
 		})
 	}
@@ -441,7 +431,8 @@ func (an *Annotator) annotateLabeled(
 			res.Dropped++
 			continue
 		}
-		if !an.verifyMention(dc, m.Line, m.Text) {
+		pw := stemmedWords(m.Text)
+		if !an.verifyMention(dc, m.Line, pw) {
 			res.Dropped++
 			continue
 		}
@@ -451,7 +442,7 @@ func (an *Annotator) annotateLabeled(
 			Category: m.Label,
 			Text:     m.Text,
 			Line:     m.Line,
-			Context:  contextOf(dc.doc, m.Line, m.Text),
+			Context:  dc.contextSentence(m.Line, pw),
 		}
 		if m.Group == taxonomy.GroupRetention && m.Label == taxonomy.RetentionStated {
 			if p, ok := nlp.ParseRetention(m.Text); ok {

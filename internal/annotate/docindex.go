@@ -2,76 +2,64 @@ package annotate
 
 import (
 	"aipan/internal/nlp"
-	"aipan/internal/textify"
 )
 
-// docIndex is the per-document token index behind the hallucination
-// filter. The filter's lenient second chance ("the mention appears
-// anywhere in the policy") used to re-tokenize every line for every
-// mention — O(document × mentions), quadratic on large policies. The
-// index tokenizes and stems each line exactly once and keeps a posting
-// map from stemmed token to the lines containing it, so the whole-policy
-// check only runs the ordered-subsequence match on lines that contain
-// every token of the phrase.
-type docIndex struct {
-	// toks holds the stemmed tokens of every line back-to-back in one
-	// shared buffer; lineOff[i]..lineOff[i+1] delimits line i. One backing
-	// array for the whole document replaces the per-line slice the old
-	// representation allocated.
-	toks    []string
-	lineOff []int32
-	// byWord maps a stemmed token to the ascending indexes of the lines
-	// containing it.
-	byWord map[string][]int
+// The per-document memo behind the hallucination filter and the context
+// sentence. Nearly every chatbot mention is verified on the line it
+// references, so the memo derives a line's forms only when a mention
+// first points at it: its stemmed tokens for the filter, and — when an
+// annotation is kept — its sentence split with each sentence's stemmed
+// tokens for the context. The lenient second chance ("the mention
+// appears anywhere in the policy") needs every line, so the posting map
+// from stemmed token to the lines containing it is built on the first
+// referenced-line miss and never on documents without one. The predicates
+// are exactly nlp.ContainsWords and nlp.SentenceOf's; only the order in
+// which the work is done changes.
+//
+// The four aspects of a document run concurrently, so docContext.mu
+// guards the memo (lines, toks) and the index (byWord).
+
+// lineMemo is one line's derived forms, each filled on first use.
+type lineMemo struct {
+	// stems are the line's stemmed tokens, valid once stemmed is set.
+	stems   []string
+	stemmed bool
+	// sents is the line's sentence split with per-sentence stems, valid
+	// once split is set; it stays nil when the line is its own only
+	// sentence, since nlp.SentenceOf then returns the line whatever the
+	// mention.
+	sents []sentence
+	split bool
 }
 
-// line returns the stemmed token sequence of the line at index li.
-func (ix *docIndex) line(li int) []string {
-	return ix.toks[ix.lineOff[li]:ix.lineOff[li+1]]
+// sentence is one sentence of a line and its stemmed tokens.
+type sentence struct {
+	text  string
+	stems []string
 }
 
-// indexDocument tokenizes and stems every line of doc once.
-func indexDocument(doc *textify.Document) *docIndex {
-	ix := &docIndex{
-		lineOff: make([]int32, len(doc.Lines)+1),
-		byWord:  map[string][]int{},
-	}
-	for i, l := range doc.Lines {
-		start := len(ix.toks)
-		ix.toks = nlp.AppendWords(ix.toks, l.Text)
-		for j := start; j < len(ix.toks); j++ {
-			ix.toks[j] = nlp.Singular(ix.toks[j])
-		}
-		ix.lineOff[i+1] = int32(len(ix.toks))
-		for _, w := range ix.toks[start:] {
-			post := ix.byWord[w]
-			if len(post) == 0 || post[len(post)-1] != i {
-				ix.byWord[w] = append(post, i)
-			}
-		}
-	}
-	return ix
-}
-
-// stemmedWords returns phrase's stemmed token sequence — the form both
+// appendStems appends the stemmed tokens of s to out — the form both
 // sides of the containment check are compared in (see nlp.ContainsWords).
-func stemmedWords(phrase string) []string {
-	ws := nlp.Words(phrase)
-	for i, w := range ws {
-		ws[i] = nlp.Singular(w)
+func appendStems(out []string, s string) []string {
+	start := len(out)
+	out = nlp.AppendWords(out, s)
+	for i := start; i < len(out); i++ {
+		out[i] = nlp.Singular(out[i])
 	}
-	return ws
+	return out
 }
 
-// lineContains reports whether the line at index li contains phrase (as
-// pre-stemmed tokens pw) as an ordered, possibly discontinuous
-// subsequence — exactly nlp.ContainsWords(lineText, phrase).
-func (ix *docIndex) lineContains(li int, pw []string) bool {
-	if len(pw) == 0 || li < 0 || li >= len(ix.lineOff)-1 {
-		return false
-	}
+// stemmedWords returns phrase's stemmed token sequence.
+func stemmedWords(phrase string) []string {
+	return appendStems(nil, phrase)
+}
+
+// containsStems reports whether ws contains pw as an ordered, possibly
+// discontinuous subsequence (both pre-stemmed). An empty pw is contained
+// everywhere; callers rule it out first, as nlp.ContainsWords does.
+func containsStems(ws, pw []string) bool {
 	j := 0
-	for _, w := range ix.line(li) {
+	for _, w := range ws {
 		if j < len(pw) && w == pw[j] {
 			j++
 		}
@@ -79,17 +67,61 @@ func (ix *docIndex) lineContains(li int, pw []string) bool {
 	return j == len(pw)
 }
 
-// anywhere reports whether any line of the document contains pw. Candidate
-// lines come from the shortest posting list among pw's tokens (a line that
-// matches must contain every token), so large policies no longer pay a
-// full-document scan per mention.
-func (ix *docIndex) anywhere(pw []string) bool {
+// stem appends s's stemmed tokens to the document's shared token buffer
+// and returns them, capacity-capped so a later append never writes into
+// them. dc.mu must be held.
+func (dc *docContext) stem(s string) []string {
+	start := len(dc.toks)
+	dc.toks = appendStems(dc.toks, s)
+	return dc.toks[start:len(dc.toks):len(dc.toks)]
+}
+
+// lineStems returns the stemmed tokens of the line at index li, stemming
+// it on first use. dc.mu must be held.
+func (dc *docContext) lineStems(li int) []string {
+	m := &dc.lines[li]
+	if !m.stemmed {
+		m.stems = dc.stem(dc.doc.Lines[li].Text)
+		m.stemmed = true
+	}
+	return m.stems
+}
+
+// mentionPresent is the hallucination filter's predicate on a mention's
+// stemmed words pw: nlp.ContainsWords on the referenced line (1-based),
+// or failing that on any line of the document.
+func (dc *docContext) mentionPresent(line int, pw []string) bool {
 	if len(pw) == 0 {
 		return false
 	}
+	dc.mu.Lock()
+	defer dc.mu.Unlock()
+	if li := line - 1; li >= 0 && li < len(dc.lines) && containsStems(dc.lineStems(li), pw) {
+		return true
+	}
+	return dc.anywhere(pw)
+}
+
+// anywhere reports whether any line of the document contains pw,
+// building the posting index on first use. Candidate lines come from the
+// shortest posting list among pw's tokens (a line that matches must
+// contain every token), so a miss costs no full-document scan once the
+// index exists. dc.mu must be held.
+func (dc *docContext) anywhere(pw []string) bool {
+	if dc.byWord == nil {
+		dc.byWord = map[string][]int{}
+		for li := range dc.lines {
+			for _, w := range dc.lineStems(li) {
+				post := dc.byWord[w]
+				if len(post) == 0 || post[len(post)-1] != li {
+					dc.byWord[w] = append(post, li)
+				}
+			}
+		}
+	}
 	var cand []int
 	for i, w := range pw {
-		post, ok := ix.byWord[w]
+		post, ok := dc.byWord[w]
 		if !ok {
 			return false
 		}
@@ -98,9 +130,42 @@ func (ix *docIndex) anywhere(pw []string) bool {
 		}
 	}
 	for _, li := range cand {
-		if ix.lineContains(li, pw) {
+		if containsStems(dc.lines[li].stems, pw) {
 			return true
 		}
 	}
 	return false
+}
+
+// contextSentence recovers the sentence of the referenced line (1-based)
+// that contains the mention's stemmed words pw — exactly
+// nlp.SentenceOf(line text, mention) — or "" when the line is out of
+// range.
+func (dc *docContext) contextSentence(line int, pw []string) string {
+	li := line - 1
+	if li < 0 || li >= len(dc.lines) {
+		return ""
+	}
+	text := dc.doc.Lines[li].Text
+	if len(pw) == 0 {
+		return text
+	}
+	dc.mu.Lock()
+	defer dc.mu.Unlock()
+	m := &dc.lines[li]
+	if !m.split {
+		m.split = true
+		if ss := nlp.Sentences(text); len(ss) > 1 || len(ss) == 1 && ss[0] != text {
+			m.sents = make([]sentence, len(ss))
+			for k, s := range ss {
+				m.sents[k] = sentence{text: s, stems: dc.stem(s)}
+			}
+		}
+	}
+	for _, s := range m.sents {
+		if containsStems(s.stems, pw) {
+			return s.text
+		}
+	}
+	return text
 }

@@ -21,7 +21,6 @@ import (
 	"aipan/internal/risk"
 	"aipan/internal/russell"
 	"aipan/internal/store"
-	"aipan/internal/textify"
 	"aipan/internal/virtualweb"
 	"aipan/internal/webgen"
 
@@ -719,15 +718,16 @@ type pageOutcome struct {
 	aspects      []annotate.AspectStats
 }
 
-// processPage is the page stage's unit of work: render, segment, and
-// annotate one privacy page. Per-page failures fold into the outcome (a
-// page that fails to segment or annotate simply contributes nothing), so
-// the stage function never reports an error.
+// processPage is the page stage's unit of work: segment and annotate one
+// privacy page, from the rendering the crawler's English check already
+// made (page.Doc). Per-page failures fold into the outcome (a page that
+// fails to segment or annotate simply contributes nothing), so the stage
+// function never reports an error.
 func (p *Pipeline) processPage(ctx context.Context, page *crawler.Page) (pageOutcome, error) {
 	var out pageOutcome
 	pctx, pspan := obs.StartSpanWith(ctx, "page", obs.A("path", page.Path))
 	defer pspan.End()
-	doc := textify.Render(parseHTML(page.Body))
+	doc := page.Doc
 	sctx, sspan := obs.StartSpan(pctx, "segment")
 	seg, err := segpkg.Segment(sctx, p.bot, doc)
 	sspan.End()

@@ -91,6 +91,10 @@ type Page struct {
 	// Candidate marks potential privacy pages (everything but the
 	// homepage).
 	Candidate bool
+	// Doc is the page rendered to text — the rendering the English check
+	// ran on. Only Result.PrivacyPages entries carry it; later stages use
+	// it instead of parsing and rendering Body again.
+	Doc *textify.Document
 }
 
 // OK reports a fetch that completed with a pre-error status (§3.1's
@@ -238,6 +242,9 @@ type pageSlot struct {
 	u       *url.URL
 	page    *Page
 	fetched bool
+	// tree is the page's parse, kept from link extraction so
+	// pre-processing renders it without parsing the body again.
+	tree *htmlx.Node
 }
 
 // crawlPlan is the per-domain bookkeeping of the stage-parallel crawl.
@@ -257,12 +264,12 @@ type crawlPlan struct {
 }
 
 // plan applies the sequential admission rules for u and returns the
-// placeholder page: an existing page for a duplicate URL, nil when the
+// placeholder slot: an existing slot for a duplicate URL, nil when the
 // budget is exhausted or robots.txt disallows the path.
-func (cp *crawlPlan) plan(u *url.URL, candidate bool) *Page {
+func (cp *crawlPlan) plan(u *url.URL, candidate bool) *pageSlot {
 	key := u.String()
 	if s, ok := cp.planned[key]; ok {
-		return s.page
+		return s
 	}
 	if len(cp.planned) >= cp.c.cfg.MaxPages {
 		return nil
@@ -276,7 +283,7 @@ func (cp *crawlPlan) plan(u *url.URL, candidate bool) *Page {
 	cp.planned[key] = s
 	cp.order = append(cp.order, s)
 	cp.pending = append(cp.pending, s)
-	return s.page
+	return s
 }
 
 // run executes the current stage's pending fetches. With no politeness
@@ -335,12 +342,13 @@ func (c *Crawler) CrawlDomain(ctx context.Context, domain string) *Result {
 
 	cp := &crawlPlan{c: c, rules: rules, planned: map[string]*pageSlot{}}
 
-	home := cp.plan(base, false)
+	homeSlot := cp.plan(base, false)
 	cp.run(ctx)
-	if home == nil {
+	if homeSlot == nil {
 		res.HomeErr = "crawl budget exhausted"
 		return res
 	}
+	home := homeSlot.page
 	if home.FetchErr != "" {
 		res.HomeErr = home.FetchErr
 	}
@@ -366,39 +374,41 @@ func (c *Crawler) CrawlDomain(ctx context.Context, domain string) *Result {
 	// Plan the whole seed stage, then fetch it in one concurrent burst.
 	type seedRef struct {
 		path string // request path (pre-redirect), for the well-known probes
-		page *Page
+		slot *pageSlot
 	}
 	var seedRefs []seedRef
 	for _, s := range seeds {
 		if sameURL(s, base) {
 			continue
 		}
-		if p := cp.plan(s, true); p != nil {
-			seedRefs = append(seedRefs, seedRef{path: s.Path, page: p})
+		if slot := cp.plan(s, true); slot != nil {
+			seedRefs = append(seedRefs, seedRef{path: s.Path, slot: slot})
 		}
 	}
 	cp.run(ctx)
 
-	var seedPages []*Page
 	for _, sr := range seedRefs {
-		seedPages = append(seedPages, sr.page)
 		switch sr.path {
 		case "/privacy-policy":
-			res.WellKnownPolicyOK = sr.page.OK()
+			res.WellKnownPolicyOK = sr.slot.page.OK()
 		case "/privacy":
-			res.WellKnownPrivacyOK = sr.page.OK()
+			res.WellKnownPrivacyOK = sr.slot.page.OK()
 		}
 	}
 
 	// Second hop: up to 5 privacy links from the top of each seed page,
-	// planned in seed order, fetched concurrently.
+	// planned in seed order, fetched concurrently. Each seed page's parse
+	// is kept on its slot for pre-processing.
 	if !c.cfg.SkipTopLinks {
-		for _, sp := range seedPages {
+		for _, sr := range seedRefs {
+			sp := sr.slot.page
 			if !sp.OK() || !sp.IsHTML() {
 				continue
 			}
-			doc := htmlx.Parse(sp.Body)
-			links := privacyLinks(doc, mustParse(sp.FinalURL, domain))
+			if sr.slot.tree == nil {
+				sr.slot.tree = htmlx.Parse(sp.Body)
+			}
+			links := privacyLinks(sr.slot.tree, mustParse(sp.FinalURL, domain))
 			if len(links) > maxTopLinks {
 				links = links[:maxTopLinks] // top-most
 			}
@@ -414,13 +424,15 @@ func (c *Crawler) CrawlDomain(ctx context.Context, domain string) *Result {
 
 	// Pages appear in planning order — the order a sequential crawl would
 	// have fetched them — skipping slots a cancellation left unfetched.
+	var trees []*htmlx.Node
 	for _, s := range cp.order {
 		if s.fetched {
 			res.Pages = append(res.Pages, *s.page)
+			trees = append(trees, s.tree)
 		}
 	}
 
-	c.postProcess(res)
+	c.postProcess(res, trees)
 	switch {
 	case res.Success:
 		c.met.domains.With("ok").Inc()
@@ -434,8 +446,10 @@ func (c *Crawler) CrawlDomain(ctx context.Context, domain string) *Result {
 	return res
 }
 
-// postProcess computes success and the deduplicated English privacy pages.
-func (c *Crawler) postProcess(res *Result) {
+// postProcess computes success and the deduplicated English privacy
+// pages. trees[i] is res.Pages[i]'s parse when link extraction already
+// made one, else nil. Each surviving page carries its rendering as Doc.
+func (c *Crawler) postProcess(res *Result, trees []*htmlx.Node) {
 	seenHash := map[[32]byte]bool{}
 	for i := range res.Pages {
 		p := &res.Pages[i]
@@ -456,12 +470,18 @@ func (c *Crawler) postProcess(res *Result) {
 			continue
 		}
 		seenHash[h] = true
-		text := textify.RenderHTML(p.Body).Text()
-		if strings.TrimSpace(text) != "" && !langid.IsEnglish(text) {
+		tree := trees[i]
+		if tree == nil {
+			tree = htmlx.Parse(p.Body)
+		}
+		doc := textify.Render(tree)
+		if text := doc.Text(); strings.TrimSpace(text) != "" && !langid.IsEnglish(text) {
 			res.NonEnglish++
 			continue
 		}
-		res.PrivacyPages = append(res.PrivacyPages, *p)
+		pp := *p
+		pp.Doc = doc
+		res.PrivacyPages = append(res.PrivacyPages, pp)
 	}
 }
 

@@ -2,11 +2,13 @@ package crawler
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"aipan/internal/russell"
+	"aipan/internal/textify"
 	"aipan/internal/virtualweb"
 	"aipan/internal/webgen"
 )
@@ -154,6 +156,37 @@ func TestCrawlHubSite(t *testing.T) {
 		return
 	}
 	t.Skip("no hub site")
+}
+
+// TestPrivacyPagesCarryTheirRendering: every surviving privacy page hands
+// later stages a Doc equal to rendering its body afresh — whether the
+// crawl kept the seed page's parse from link extraction or parsed it in
+// pre-processing (SkipTopLinks) — and no other page carries one.
+func TestPrivacyPagesCarryTheirRendering(t *testing.T) {
+	for _, cfg := range []Config{{}, {SkipTopLinks: true}} {
+		c, g := testCrawler(t, cfg)
+		pages := 0
+		for _, d := range g.Domains()[:120] {
+			res := c.CrawlDomain(context.Background(), d)
+			for _, p := range res.Pages {
+				if p.Doc != nil {
+					t.Errorf("%s%s: Result.Pages entry carries a Doc", d, p.Path)
+				}
+			}
+			for _, p := range res.PrivacyPages {
+				pages++
+				if p.Doc == nil {
+					t.Fatalf("%s%s: privacy page without a Doc", d, p.Path)
+				}
+				if want := textify.RenderHTML(p.Body); !reflect.DeepEqual(p.Doc, want) {
+					t.Errorf("%s%s (SkipTopLinks=%v): Doc differs from RenderHTML(Body)", d, p.Path, cfg.SkipTopLinks)
+				}
+			}
+		}
+		if pages == 0 {
+			t.Fatalf("SkipTopLinks=%v: no privacy pages crawled", cfg.SkipTopLinks)
+		}
+	}
 }
 
 func pagePaths(res *Result) []string {

@@ -45,21 +45,22 @@ var profiles = map[Lang][]string{
 	},
 }
 
-var profileSets = func() map[Lang]map[string]bool {
-	m := make(map[Lang]map[string]bool, len(profiles))
-	for l, ws := range profiles {
-		set := make(map[string]bool, len(ws))
-		for _, w := range ws {
-			set[w] = true
-		}
-		m[l] = set
-	}
-	return m
-}()
-
 // langOrder fixes the scoring order (and therefore tie-breaking) instead
 // of ranging over the profile map.
 var langOrder = [...]Lang{English, German, French, Spanish}
+
+// profileMask maps every stopword to the languages whose profile holds
+// it, as a bitmask over langOrder (bit j for langOrder[j]): one map probe
+// per token instead of one per language.
+var profileMask = func() map[string]uint8 {
+	m := map[string]uint8{}
+	for j, l := range langOrder {
+		for _, w := range profiles[l] {
+			m[w] |= 1 << j
+		}
+	}
+	return m
+}()
 
 // Detect returns the best-scoring language and its score (fraction of
 // tokens found in that language's stopword profile). Texts under 5 tokens
@@ -68,13 +69,9 @@ var langOrder = [...]Lang{English, German, French, Spanish}
 // Tokens are scored as they are produced — the detector runs on every
 // fetched page, and materializing a token slice per page was one of the
 // crawl path's largest allocation sources. Mixed-case tokens are lowercased
-// into a reused scratch buffer; the map probes via string(scratch) compile
-// to lookups without a string copy.
+// into a reused scratch buffer; the map probe via string(scratch) compiles
+// to a lookup without a string copy.
 func Detect(text string) (Lang, float64) {
-	var sets [len(langOrder)]map[string]bool
-	for i, l := range langOrder {
-		sets[i] = profileSets[l]
-	}
 	var hits [len(langOrder)]int
 	total := 0
 	var scratch []byte
@@ -99,19 +96,15 @@ func Detect(text string) (Lang, float64) {
 		}
 		tok := text[start:i]
 		total++
+		var mask uint8
 		if needsLower {
 			scratch = appendLower(scratch[:0], tok)
-			for j := range sets {
-				if sets[j][string(scratch)] {
-					hits[j]++
-				}
-			}
-			continue
+			mask = profileMask[string(scratch)]
+		} else {
+			mask = profileMask[tok]
 		}
-		for j := range sets {
-			if sets[j][tok] {
-				hits[j]++
-			}
+		for j := range hits {
+			hits[j] += int(mask >> j & 1)
 		}
 	}
 	if total < 5 {

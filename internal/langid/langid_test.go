@@ -1,6 +1,15 @@
 package langid
 
-import "testing"
+import (
+	"sort"
+	"strings"
+	"testing"
+	"unicode"
+
+	"aipan/internal/russell"
+	"aipan/internal/textify"
+	"aipan/internal/webgen"
+)
 
 const enText = `We collect personal information that you provide to us, such as your
 name, email address, and phone number. We use this information to provide and
@@ -79,5 +88,150 @@ func BenchmarkDetect(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Detect(enText)
+	}
+}
+
+// referenceSets holds one stopword set per language, in langOrder.
+var referenceSets = func() (sets [len(langOrder)]map[string]bool) {
+	for j, l := range langOrder {
+		sets[j] = map[string]bool{}
+		for _, w := range profiles[l] {
+			sets[j][w] = true
+		}
+	}
+	return sets
+}()
+
+// detectFourMaps is the detector as it scored before the bitmask: every
+// token probes each language's stopword set in turn. Detect must return
+// exactly its (Lang, score).
+func detectFourMaps(text string) (Lang, float64) {
+	sets := referenceSets
+	var hits [len(langOrder)]int
+	total := 0
+	var scratch []byte
+	for i := 0; i < len(text) && total < 4000; {
+		r, sz := decodeRuneAt(text, i)
+		if !unicode.IsLetter(r) {
+			i += sz
+			continue
+		}
+		start := i
+		needsLower := unicode.ToLower(r) != r
+		i += sz
+		for i < len(text) {
+			r, sz = decodeRuneAt(text, i)
+			if !unicode.IsLetter(r) {
+				break
+			}
+			if unicode.ToLower(r) != r {
+				needsLower = true
+			}
+			i += sz
+		}
+		tok := text[start:i]
+		total++
+		if needsLower {
+			scratch = appendLower(scratch[:0], tok)
+			for j := range sets {
+				if sets[j][string(scratch)] {
+					hits[j]++
+				}
+			}
+			continue
+		}
+		for j := range sets {
+			if sets[j][tok] {
+				hits[j]++
+			}
+		}
+	}
+	if total < 5 {
+		return Unknown, 0
+	}
+	best, bestScore := Unknown, 0.0
+	for j, l := range langOrder {
+		score := float64(hits[j]) / float64(total)
+		if score > bestScore {
+			best, bestScore = l, score
+		}
+	}
+	if bestScore < 0.05 {
+		return Unknown, bestScore
+	}
+	return best, bestScore
+}
+
+// webgenPageTexts renders the rendered text of every privacy page of the
+// first n sites plus every non-English site (webgen writes its foreign
+// policies in German).
+func webgenPageTexts(t *testing.T, n int) (english, german []string) {
+	t.Helper()
+	g := webgen.New(webgen.Seed, russell.UniqueDomains(russell.Universe(webgen.Seed)))
+	for i, s := range g.Sites() {
+		if i >= n && s.Failure != webgen.FailNonEnglish {
+			continue
+		}
+		pages := g.RenderSite(s.Domain)
+		var paths []string
+		for path := range pages {
+			paths = append(paths, path)
+		}
+		sort.Strings(paths)
+		for _, path := range paths {
+			p := pages[path]
+			if !strings.Contains(path, "privacy") || p.RedirectTo != "" || p.Body == "" {
+				continue
+			}
+			text := textify.RenderHTML(p.Body).Text()
+			if s.Failure == webgen.FailNonEnglish {
+				german = append(german, text)
+			} else {
+				english = append(english, text)
+			}
+		}
+	}
+	if len(english) == 0 || len(german) == 0 {
+		t.Fatalf("webgen yielded %d English and %d German pages", len(english), len(german))
+	}
+	return english, german
+}
+
+// TestDetectMatchesFourMapReference: the single-probe bitmask scores
+// every text exactly as the four stopword maps did — hit counts, the
+// langOrder tie-break and the 4,000-token cap included.
+func TestDetectMatchesFourMapReference(t *testing.T) {
+	english, german := webgenPageTexts(t, 60)
+	texts := append([]string{}, english...)
+	texts = append(texts, german...)
+	texts = append(texts, enText, deText, frText, esText)
+	// Mixed-language pages, in both orders.
+	for i := range german {
+		e := english[i%len(english)]
+		texts = append(texts, e+"\n"+german[i], german[i]+"\n"+e, frText+" "+esText+" "+e)
+	}
+	// Under 5 tokens, stopwords shared across profiles, case and accents.
+	texts = append(texts, "", "ok", "la de que", "LA DE QUE EN ES", "Für DIE Daten",
+		"Données DE LA société", "MÁS DATOS", "la de en un que", "zzz qqq xxx www yyy")
+	// Past the 4,000-token cap: a long page, and one whose language
+	// changes only after the cap, so the cap decides the answer.
+	long := strings.Repeat(english[0]+" ", 4000/len(strings.Fields(english[0]))+2)
+	texts = append(texts, long, strings.Repeat("der die das und wir ", 800)+strings.Repeat(enText, 200))
+	capped := 0
+	for _, text := range texts {
+		if len(strings.Fields(text)) > 4000 {
+			capped++
+		}
+		gotLang, gotScore := Detect(text)
+		wantLang, wantScore := detectFourMaps(text)
+		if gotLang != wantLang || gotScore != wantScore {
+			t.Errorf("Detect(%.60q) = (%v, %v), reference (%v, %v)", text, gotLang, gotScore, wantLang, wantScore)
+		}
+	}
+	if capped < 2 {
+		t.Errorf("only %d texts pass the 4,000-token cap", capped)
+	}
+	if lang, _ := Detect(german[0]); lang != German {
+		t.Errorf("webgen German page detected as %v", lang)
 	}
 }

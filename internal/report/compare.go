@@ -57,7 +57,7 @@ func CompareModels(ctx context.Context, seed int64, nPolicies int) ([]ModelScore
 		res := cr.CrawlDomain(ctx, d)
 		site := gen.Site(d)
 		for _, p := range res.PrivacyPages {
-			docs = append(docs, policyDoc{site: site, doc: textify.RenderHTML(p.Body)})
+			docs = append(docs, policyDoc{site: site, doc: p.Doc})
 		}
 	}
 	if len(docs) == 0 {

@@ -54,7 +54,7 @@ echo "==> perfbench: go vet + go test (the benchmark harness's own module)"
 go -C perfbench vet ./...
 go -C perfbench test ./...
 
-echo "==> funnel allocation ceiling (BenchmarkFigure1PipelineFunnel <= ${AIPAN_FUNNEL_ALLOC_CEILING:=400000} allocs/op)"
+echo "==> funnel allocation ceiling (BenchmarkFigure1PipelineFunnel <= ${AIPAN_FUNNEL_ALLOC_CEILING:=300000} allocs/op)"
 # Wall-clock on this box swings ±15% run to run, so the gate pins the
 # allocation count instead: it is deterministic for a fixed workload and
 # regresses immediately if a hot-path buffer stops being reused.
