@@ -17,17 +17,21 @@ import (
 //     (rand.New(rand.NewSource(seed))) are deterministic.
 //  3. map iteration feeding output — ranging over a map and appending,
 //     sending, or writing rows leaks Go's randomized map order into the
-//     result, unless the enclosing function sorts afterwards
-//     (collect-then-sort is the repo's sanctioned pattern).
+//     result, and so does assigning the range key or value to a plain
+//     variable declared outside the loop (a first- or last-wins pick),
+//     unless the enclosing function sorts afterwards (collect-then-sort
+//     is the repo's sanctioned pattern).
 //
 // webgen/russell/downstream (seeded rand) and obs (wall clock) are
 // allowlisted by construction: they are not in DeterministicPkgs.
 var determinismChecker = &Checker{
 	Name: "determinism",
-	Doc:  "no wall clock, global rand, or unsorted map iteration in dataset-producing packages",
+	Doc:  "no wall clock, global rand, or unsorted map iteration (output or a first/last-wins pick) in dataset-producing packages",
 	Rationale: "The reproduction's core guarantee is byte-identical dataset output for a " +
 		"given seed, across worker counts and store backends. Any wall-clock read, draw from " +
-		"the unseeded global math/rand source, or map-iteration-ordered output inside the " +
+		"the unseeded global math/rand source, map-iteration-ordered output, or element " +
+		"picked by map order (the first or last range key or value kept in an outer " +
+		"variable, so ties go to whichever the map yields) inside the " +
 		"dataset-producing packages breaks that silently. This checker bans the sources " +
 		"syntactically inside Config.DeterministicPkgs; nondetflow complements it by tracking " +
 		"derived values through call chains module-wide.",
@@ -119,7 +123,11 @@ func checkMapRanges(p *Pass, pkg *Package, body *ast.BlockStmt) {
 		if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
 			return true
 		}
-		if reason := feedsOutput(pkg, rng.Body); reason != "" && !sortedAfter(rng.End()) {
+		reason := feedsOutput(pkg, rng.Body)
+		if reason == "" {
+			reason = picksElement(pkg, rng)
+		}
+		if reason != "" && !sortedAfter(rng.End()) {
 			p.Reportf(rng.Pos(),
 				"map iteration %s without a following sort leaks randomized map order into output in deterministic package %s",
 				reason, pkg.Path)
@@ -160,6 +168,63 @@ func feedsOutput(pkg *Package, body *ast.BlockStmt) string {
 				if sinks[fun.Sel.Name] {
 					reason = "calling " + fun.Sel.Name
 				}
+			}
+		}
+		return true
+	})
+	return reason
+}
+
+// picksElement reports a map-range body that assigns the range key or
+// value — or a field, element or dereference of one — to a plain
+// variable declared outside the loop. Whichever iteration assigns first
+// or last wins, so the kept element follows Go's randomized map order
+// whenever more than one iteration qualifies. Map writes and compound
+// assignments (numeric accumulation) are not picks.
+func picksElement(pkg *Package, rng *ast.RangeStmt) string {
+	objOf := func(e ast.Expr) types.Object {
+		if id, ok := e.(*ast.Ident); ok {
+			return pkg.Info.ObjectOf(id)
+		}
+		return nil
+	}
+	key, val := objOf(rng.Key), objOf(rng.Value)
+	fromIter := func(e ast.Expr) bool {
+		for {
+			switch x := ast.Unparen(e).(type) {
+			case *ast.SelectorExpr:
+				e = x.X
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.StarExpr:
+				e = x.X
+			default:
+				obj := objOf(x)
+				return obj != nil && (obj == key || obj == val)
+			}
+		}
+	}
+	reason := ""
+	ast.Inspect(rng.Body, func(n ast.Node) bool {
+		if reason != "" {
+			return false
+		}
+		as, ok := n.(*ast.AssignStmt)
+		if !ok || as.Tok != token.ASSIGN || len(as.Lhs) != len(as.Rhs) {
+			return true
+		}
+		for i, lhs := range as.Lhs {
+			id, ok := lhs.(*ast.Ident)
+			if !ok {
+				continue
+			}
+			v, ok := pkg.Info.Uses[id].(*types.Var)
+			if !ok || (v.Pos() >= rng.Pos() && v.Pos() < rng.End()) {
+				continue // blank, or declared inside the loop
+			}
+			if fromIter(as.Rhs[i]) {
+				reason = "assigning the range key or value to " + id.Name + " (a first- or last-wins pick)"
+				return false
 			}
 		}
 		return true

@@ -10,8 +10,9 @@ import (
 // strings.Contains — tens of substring scans per input line, a
 // double-digit share of pipeline CPU. cueAutomaton is a byte-level
 // Aho–Corasick matcher (substring semantics, no word boundaries — exactly
-// what Contains tested) that finds all cue occurrences in one pass.
-// Like the taxonomy trigger automaton, edges are deterministic slices.
+// what Contains tested) that finds all cue occurrences in one pass; it is
+// the repo's only automaton, and cuematch_test.go pins it to the Contains
+// loops. Edges are slices, so construction is deterministic.
 
 type cueEdge struct {
 	c  byte

@@ -12,9 +12,9 @@ import (
 // TestPipelineDeterminismAcrossWorkerCounts is the acceptance bar for the
 // stage-parallel engine: a serial run and a heavily parallel run over the
 // same seed must produce identical records and funnel counts. Every layer
-// of fan-out (domain workers, crawl stages, per-page segment+annotate,
-// per-aspect annotation) folds its results back in a deterministic order,
-// so worker count must never show up in the output.
+// of fan-out (domain workers, crawl stages, per-aspect annotation) folds
+// its results back in a deterministic order, so worker count must never
+// show up in the output.
 func TestPipelineDeterminismAcrossWorkerCounts(t *testing.T) {
 	run := func(workers int) *Result {
 		t.Helper()

@@ -132,7 +132,6 @@ type Pipeline struct {
 	met       *pipeMetrics
 	riskW     risk.Weights
 	procStage *engine.Stage[russell.DomainInfo, domainOutcome]
-	pageStage *engine.Stage[*crawler.Page, pageOutcome]
 }
 
 // pipeMetrics instruments the orchestration layer: throughput,
@@ -255,8 +254,9 @@ func New(cfg Config) (*Pipeline, error) {
 	p.crawler = cr
 
 	// Chatbot + annotator. The default bot allows 4×Workers calls in
-	// flight: each domain worker fans out its four annotation aspects
-	// concurrently. A caller-built Bot carries its own limit.
+	// flight, the most a run can issue: each of the Workers domain
+	// workers annotates its pages one at a time and fans out only the
+	// four aspects of a page. A caller-built Bot carries its own limit.
 	p.bot = cfg.Bot
 	if p.bot == nil {
 		p.bot = chatbot.NewClient(chatbot.NewSim(chatbot.GPT4Profile()),
@@ -265,19 +265,14 @@ func New(cfg Config) (*Pipeline, error) {
 	}
 	p.annotator = annotate.New(p.bot, annotate.WithRegistry(cfg.Registry))
 
-	// The two engine stages this pipeline dispatches onto: domains fan
-	// out across cfg.Workers, and each domain's privacy pages fan out
-	// unbounded (page count per domain is small and each page is an
-	// independent extract→segment→annotate chain; the chatbot client's
-	// limiter is the real throttle).
+	// Domains fan out across cfg.Workers; a domain's privacy pages then
+	// run in order on its worker.
 	p.procStage = engine.NewStage(cfg.Registry, "process", cfg.Workers,
 		func(ctx context.Context, d russell.DomainInfo) (domainOutcome, error) {
 			rec, ev := p.processDomain(ctx, d)
 			p.met.domains.Inc()
 			return domainOutcome{rec: rec, ev: ev}, nil
 		})
-	p.pageStage = engine.NewStage(cfg.Registry, "page", engine.Unbounded,
-		p.processPage)
 	return p, nil
 }
 
@@ -627,27 +622,19 @@ func (p *Pipeline) domainWork(ctx context.Context, d russell.DomainInfo) (store.
 		return rec, ev
 	}
 
-	// Extract + segment + annotate each privacy page — concurrently on the
-	// page stage, since pages are independent — then fold the outcomes in
-	// page order so every aggregate (coreWords sum, first-wins main-page
-	// tie break, merge input order) matches the sequential loop byte for
-	// byte. The whole-text annotation fallback is reported for the
-	// domain's main policy page only (§3.2.2 counts fallbacks per policy;
-	// auxiliary choices/cookie pages always fall back for their missing
-	// aspects and would swamp the statistic).
-	pages := make([]*crawler.Page, len(cres.PrivacyPages))
-	for pi := range cres.PrivacyPages {
-		pages[pi] = &cres.PrivacyPages[pi]
-	}
-	outcomes, _ := p.pageStage.Map(ctx, pages)
-
+	// Extract + segment + annotate each privacy page in page order, folding
+	// each outcome as it comes (coreWords sum, first-wins main-page tie
+	// break, merge input order). The whole-text annotation fallback is
+	// reported for the domain's main policy page only (§3.2.2 counts
+	// fallbacks per policy; auxiliary choices/cookie pages always fall
+	// back for their missing aspects and would swamp the statistic).
 	var pageAnns [][]annotate.Annotation
 	fallbacks := map[string]bool{}
 	coreWords := 0
 	mainWords := -1
 	anySuccess, anyFallbackSeg := false, false
-	for pi := range outcomes {
-		out := &outcomes[pi]
+	for pi := range cres.PrivacyPages {
+		out := p.processPage(ctx, &cres.PrivacyPages[pi])
 		if !out.segOK {
 			continue
 		}
@@ -718,12 +705,11 @@ type pageOutcome struct {
 	aspects      []annotate.AspectStats
 }
 
-// processPage is the page stage's unit of work: segment and annotate one
-// privacy page, from the rendering the crawler's English check already
-// made (page.Doc). Per-page failures fold into the outcome (a page that
-// fails to segment or annotate simply contributes nothing), so the stage
-// function never reports an error.
-func (p *Pipeline) processPage(ctx context.Context, page *crawler.Page) (pageOutcome, error) {
+// processPage segments and annotates one privacy page under its "page"
+// span, from the rendering the crawler's English check already made
+// (page.Doc). Per-page failures fold into the outcome: a page that fails
+// to segment or annotate simply contributes nothing.
+func (p *Pipeline) processPage(ctx context.Context, page *crawler.Page) pageOutcome {
 	var out pageOutcome
 	pctx, pspan := obs.StartSpanWith(ctx, "page", obs.A("path", page.Path))
 	defer pspan.End()
@@ -732,7 +718,7 @@ func (p *Pipeline) processPage(ctx context.Context, page *crawler.Page) (pageOut
 	seg, err := segpkg.Segment(sctx, p.bot, doc)
 	sspan.End()
 	if err != nil || !seg.Success() {
-		return out, nil
+		return out
 	}
 	out.segOK = true
 	out.usedFallback = seg.UsedFallback
@@ -743,13 +729,13 @@ func (p *Pipeline) processPage(ctx context.Context, page *crawler.Page) (pageOut
 	ares, err := p.annotator.Annotate(actx, doc, seg)
 	aspan.End()
 	if err != nil {
-		return out, nil
+		return out
 	}
 	out.annOK = true
 	out.anns = ares.Annotations
 	out.annFallbacks = ares.FallbackUsed
 	out.aspects = ares.Aspects
-	return out, nil
+	return out
 }
 
 // The Figure 1 / §3.1 / §4 funnel aggregation lives in funnel.go: each

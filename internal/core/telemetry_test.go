@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -254,6 +255,60 @@ func TestEventTimingsComeFromSpans(t *testing.T) {
 	if got := stages.With("fetch").Count(); pages == 0 || float64(got) != fetches || int(got) != pages {
 		t.Errorf("fetch spans %d, aipan_crawler_fetches_total %v, records' pages fetched %d",
 			got, fetches, pages)
+	}
+}
+
+// TestPageSpansDoNotOverlap: a domain's privacy pages run one after
+// another on its worker, so on a clock that advances on every read no
+// two "page" spans under one "domain" span overlap.
+func TestPageSpansDoNotOverlap(t *testing.T) {
+	var mu sync.Mutex
+	now := time.Unix(1_700_000_000, 0)
+	clock := func() time.Time {
+		mu.Lock()
+		defer mu.Unlock()
+		now = now.Add(time.Millisecond)
+		return now
+	}
+	spans := &spanCollector{}
+	p, err := New(Config{Limit: 20, Workers: 2, TelemetryTimings: true, Clock: clock,
+		Registry: obs.NewRegistry(), TraceExporter: spans})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	domains := map[string]bool{} // "domain" span IDs
+	pages := map[string][]obs.SpanRecord{}
+	for _, rec := range spans.recs {
+		switch rec.Name {
+		case "domain":
+			domains[rec.SpanID] = true
+		case "page":
+			pages[rec.ParentID] = append(pages[rec.ParentID], rec)
+		}
+	}
+	multi := 0
+	for parent, ps := range pages {
+		if !domains[parent] {
+			t.Fatalf("page span %s has parent %s, not a domain span", ps[0].SpanID, parent)
+		}
+		if len(ps) < 2 {
+			continue
+		}
+		multi++
+		sort.Slice(ps, func(i, j int) bool { return ps[i].StartUnixNano < ps[j].StartUnixNano })
+		for i := 1; i < len(ps); i++ {
+			if end := ps[i-1].StartUnixNano + ps[i-1].DurationNanos; ps[i].StartUnixNano < end {
+				t.Errorf("domain span %s: page %v starts at %d, before page %v ends at %d",
+					parent, ps[i].Attrs, ps[i].StartUnixNano, ps[i-1].Attrs, end)
+			}
+		}
+	}
+	if multi < 3 {
+		t.Fatalf("%d domains with several privacy pages; the check needs at least 3", multi)
 	}
 }
 

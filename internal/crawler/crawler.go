@@ -3,7 +3,7 @@
 // the word "privacy", tries the well-known /privacy-policy and /privacy
 // paths, then follows up to five "privacy" links from the top of each of
 // those five pages — at most 31 pages per site. Candidate pages are
-// deduplicated by content hash and filtered to English, yielding the
+// deduplicated by content and filtered to English, yielding the
 // domain's potential privacy pages.
 //
 // The crawler is a plain net/http client: point it at the real web or at
@@ -12,7 +12,6 @@ package crawler
 
 import (
 	"context"
-	"crypto/sha256"
 	"fmt"
 	"io"
 	"net/http"
@@ -120,7 +119,7 @@ type Result struct {
 	// Success means at least one candidate page returned status < 400.
 	Success bool
 	// PrivacyPages are the candidates that survive pre-processing: fetched
-	// OK, HTML, deduplicated by content hash, and English.
+	// OK, HTML, deduplicated by content, and English.
 	PrivacyPages []Page
 	// NonEnglish/DuplicateCount/PDFCount record what pre-processing
 	// removed.
@@ -450,7 +449,7 @@ func (c *Crawler) CrawlDomain(ctx context.Context, domain string) *Result {
 // pages. trees[i] is res.Pages[i]'s parse when link extraction already
 // made one, else nil. Each surviving page carries its rendering as Doc.
 func (c *Crawler) postProcess(res *Result, trees []*htmlx.Node) {
-	seenHash := map[[32]byte]bool{}
+	seen := map[string]bool{} // page bodies: exact equality is the dedup
 	for i := range res.Pages {
 		p := &res.Pages[i]
 		if !p.Candidate || !p.OK() {
@@ -464,12 +463,11 @@ func (c *Crawler) postProcess(res *Result, trees []*htmlx.Node) {
 		if !p.IsHTML() {
 			continue
 		}
-		h := sha256.Sum256([]byte(p.Body))
-		if seenHash[h] {
+		if seen[p.Body] {
 			res.DuplicateCount++
 			continue
 		}
-		seenHash[h] = true
+		seen[p.Body] = true
 		tree := trees[i]
 		if tree == nil {
 			tree = htmlx.Parse(p.Body)

@@ -109,19 +109,23 @@ func TestCrawlSucceedsOnExtractionFailureClasses(t *testing.T) {
 func TestCrawlDedupsDuplicateContent(t *testing.T) {
 	c, g := testCrawler(t, Config{})
 	ctx := context.Background()
-	// Find a site serving /privacy as a duplicate of the entry page.
+	// Find a site serving /privacy as a copy of another page's body.
 	for _, s := range g.Sites() {
-		if s.Failure != webgen.FailNone {
+		if s.Failure != webgen.FailNone || !s.Layout.WellKnownPrivacy {
 			continue
 		}
 		pages := g.RenderSite(s.Domain)
+		alias, ok := pages["/privacy"]
+		if !ok || alias.RedirectTo != "" {
+			continue
+		}
 		entryDup := false
 		for path, p := range pages {
-			if path == "/privacy" && p.RedirectTo == "" && p.Status == 0 {
+			if path != "/privacy" && p.RedirectTo == "" && p.Body == alias.Body {
 				entryDup = true
 			}
 		}
-		if !entryDup || !s.Layout.WellKnownPrivacy {
+		if !entryDup {
 			continue
 		}
 		res := c.CrawlDomain(ctx, s.Domain)

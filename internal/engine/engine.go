@@ -1,12 +1,12 @@
 // Package engine is the unified execution runtime behind every
 // concurrent stage of the Figure 1 pipeline. The pipeline's domain
-// workers, the crawler's fetch staging, the per-page segment+annotate
-// fan-out, and the annotator's per-aspect fan-out all used to carry
-// their own worker pools; they now all run through one audited
-// implementation: a Stage[In, Out] with a bounded-concurrency Map
-// runner, submission-order result delivery, and cancellation that
-// drains cleanly (no goroutine outlives a Map call). A stage does not
-// time its items: the spans its functions start do (DESIGN.md §9).
+// workers, the crawler's fetch staging and the annotator's per-aspect
+// fan-out all used to carry their own worker pools; they now all run
+// through one audited implementation: a Stage[In, Out] with a
+// bounded-concurrency Map runner, submission-order result delivery, and
+// cancellation that drains cleanly (no goroutine outlives a Map call).
+// A stage does not time its items: the spans its functions start do
+// (DESIGN.md §9).
 //
 // Determinism is structural: Map writes results by submission index and
 // delivers them in submission order, so a stage's output never depends

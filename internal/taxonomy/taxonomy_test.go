@@ -1,6 +1,7 @@
 package taxonomy
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -149,6 +150,76 @@ func TestTypeIndexFuzzy(t *testing.T) {
 	if !ok || m.Descriptor != "email address" {
 		t.Errorf("fuzzy lookup = %+v, %v", m, ok)
 	}
+
+	// "passpord" is one edit from both "passport" (Personal identifier)
+	// and "password" (Account info): the smaller key must win on every
+	// call, not whichever key map iteration reaches first.
+	want, ok := ix.Lookup("passport")
+	if !ok || want.Category != "Personal identifier" {
+		t.Fatalf("Lookup(passport) = %+v, %v; want the Personal identifier descriptor", want, ok)
+	}
+	for i := 0; i < 200; i++ {
+		if got, ok := ix.Lookup("passpord"); !ok || got != want {
+			t.Fatalf("call %d: Lookup(passpord) = %+v, %v; want %+v", i, got, ok, want)
+		}
+	}
+}
+
+// TestZeroShotGoldenTieBreaks pins the zero-shot stage's resolution order
+// on a hand-built index with no descriptors, so every lookup falls
+// through to the trigger lemmas:
+//
+//   - a single-word lemma match anywhere beats a multi-word lemma match,
+//     even an earlier and longer one;
+//   - among single-word matches, the earliest word position wins, and the
+//     smallest trigger index breaks position ties;
+//   - among multi-word matches (when no single-word lemma hits), trigger
+//     registration order wins regardless of position in the phrase;
+//   - lemmas match whole words only — embedding in a longer token is not
+//     a match.
+func TestZeroShotGoldenTieBreaks(t *testing.T) {
+	ix := NewIndex([]Category{
+		{Meta: "m1", Name: "alpha", Triggers: []string{"credit card", "card"}},
+		{Meta: "m2", Name: "beta", Triggers: []string{"credit", "social media"}},
+		{Meta: "m3", Name: "gamma", Triggers: []string{"media card"}},
+	})
+	cases := []struct {
+		phrase   string
+		wantOK   bool
+		category string
+	}{
+		// "credit card ..." contains multi "credit card" (alpha, first
+		// registered), but single-word "credit" (beta) at word 0 wins.
+		{"credit card number", true, "beta"},
+		// Earliest word position wins among single-word lemmas: "card"
+		// (word 1) beats "credit" (word 2).
+		{"number card credit", true, "alpha"},
+		// No single-word lemma present: multi-word triggers resolve in
+		// registration order — "credit card" (alpha) is checked before
+		// "media card" (gamma) even though "media card" starts earlier.
+		{"media card credit card", true, "alpha"},
+		// Multi-word only, one candidate.
+		{"likes social media posts", true, "beta"},
+		// Whole-word boundaries: embedded lemmas do not match.
+		{"carded discredit cardinal", false, ""},
+		{"socialmedia mediacard", false, ""},
+		// Multi-word lemma must match as consecutive whole words.
+		{"social and media", false, ""},
+		{"media social", false, ""},
+	}
+	for _, c := range cases {
+		got, ok := ix.Lookup(c.phrase)
+		if ok != c.wantOK {
+			t.Errorf("%q: ok=%v, want %v", c.phrase, ok, c.wantOK)
+			continue
+		}
+		if ok && got.Category != c.category {
+			t.Errorf("%q: category %q, want %q", c.phrase, got.Category, c.category)
+		}
+		if want := nlp.NormalizeStemmed(c.phrase); ok && (!got.Novel || got.Descriptor != want) {
+			t.Errorf("%q: zero-shot match must be Novel with descriptor %q, got %+v", c.phrase, want, got)
+		}
+	}
 }
 
 func TestTypeIndexMiss(t *testing.T) {
@@ -253,5 +324,24 @@ func BenchmarkTypeLookup(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		ix.Lookup(phrases[i%len(phrases)])
+	}
+}
+
+// BenchmarkTaxonomyLookup measures the zero-shot path (glossary miss →
+// trigger scan) on phrases of growing length.
+func BenchmarkTaxonomyLookup(b *testing.B) {
+	ix := NewTypeIndex()
+	phrases := []string{
+		"miscellaneous telemetry readings",
+		"aggregated regional broadcast preferences and slots",
+		"completely unrelated administrative filing codes with several more words attached",
+	}
+	for _, p := range phrases {
+		b.Run(fmt.Sprintf("words=%d", len(strings.Fields(p))), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ix.Lookup(p)
+			}
+		})
 	}
 }
