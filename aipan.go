@@ -230,22 +230,23 @@ func ReadDataset(path string) ([]Record, error) {
 }
 
 // DatasetStore is the pluggable record storage interface behind
-// checkpointing, resume, and the dataset server. Backends: append-only
-// JSONL file, hash-sharded directory of CRC-framed binary segments, and
-// in-memory (see internal/store and DESIGN.md §10). Pass one via
-// PipelineConfig.Store to control where a run streams its records.
+// checkpointing, resume, and the dataset server. Backends: a
+// hash-sharded directory of CRC-framed binary segments, the one
+// on-disk checkpoint format, and in-memory (see internal/store and
+// DESIGN.md §10). Pass one via PipelineConfig.Store to control where a
+// run streams its records.
 type DatasetStore = store.Store
 
 // DatasetStoreMeta is the run metadata (seed, shard count) a store
 // carries so a checkpoint refuses to resume under a different seed.
 type DatasetStoreMeta = store.Meta
 
-// OpenDatasetStore opens a storage backend from a spec: "jsonl" (or "")
-// for a single append-only JSONL file at path, "binary:N" for a
-// directory of N hash-sharded binary segment files with per-shard
-// domain indexes (the 100k+-domain format), "mem" for an in-memory
-// store (path ignored). The retired "sharded:N" spec, and a directory
-// it wrote, are refused with an error naming binary:N.
+// OpenDatasetStore opens (or creates) the checkpoint store in the
+// directory at path: "binary:N" for N hash-sharded binary segment files
+// with per-shard domain indexes, "" for binary:1. Any other spec — the
+// retired "jsonl" and "sharded:N" checkpoint layouts and "mem" among
+// them — is refused with an error naming binary:N, and so is a path
+// naming a file, such as a retired JSONL checkpoint.
 func OpenDatasetStore(spec, path string) (DatasetStore, error) {
 	return store.OpenSpec(spec, path)
 }
@@ -277,11 +278,12 @@ func ExportDomainsCSV(path string, st DatasetStore) error {
 // RepairDatasetStore truncates the store back to its last good record.
 var ErrStoreTruncated = store.ErrTruncated
 
-// RepairDatasetStore truncates the store at path (any OpenDatasetStore
-// spec) back to the end of its last well-formed record, returning the
-// bytes dropped. Run it when an open refuses with ErrStoreTruncated.
-func RepairDatasetStore(spec, path string) (int64, error) {
-	return store.Repair(spec, path)
+// RepairDatasetStore truncates the checkpoint store in dir — its shard
+// count read from the store's own stamp — back to the end of its last
+// well-formed record, returning the bytes dropped. Run it when an open
+// refuses with ErrStoreTruncated.
+func RepairDatasetStore(dir string) (int64, error) {
+	return store.Repair(dir)
 }
 
 // RepairEventDir truncates each flight-recorder shard in dir back to

@@ -9,19 +9,20 @@ import (
 	"time"
 
 	"aipan"
+	"aipan/internal/store"
 )
 
 // cmdDebug dispatches the telemetry and recovery surfaces: `debug trace`
 // renders an exported span tree, `debug events` summarizes a
-// flight-recorder stream, `debug repair` truncates a crash-torn store or
-// event directory back to its last good record.
+// flight-recorder stream, `debug repair` truncates a crash-torn
+// checkpoint or event directory back to its last good record.
 func cmdDebug(args []string) error {
 	if len(args) < 1 {
 		fmt.Fprintln(os.Stderr, `usage:
-  aipan debug trace <file>                 render an exported trace (--trace-out) as a tree
-  aipan debug events <dir>                 summarize a flight-recorder stream (--events-out)
-  aipan debug repair --store <spec> <path> truncate a torn checkpoint store to its last good record
-  aipan debug repair --events <dir>        truncate torn flight-recorder shards`)
+  aipan debug trace <file>          render an exported trace (--trace-out) as a tree
+  aipan debug events <dir>          summarize a flight-recorder stream (--events-out)
+  aipan debug repair <dir>          truncate a torn checkpoint (--checkpoint) to its last good record
+  aipan debug repair --events <dir> truncate torn flight-recorder shards`)
 		return fmt.Errorf("debug needs a subcommand (trace | events | repair)")
 	}
 	switch args[0] {
@@ -38,10 +39,10 @@ func cmdDebug(args []string) error {
 // debugRepair is the recovery path behind the ErrStoreTruncated refusal:
 // a run killed mid-append leaves a half-written final record, opens
 // refuse it, and this truncates back to the last record the store can
-// vouch for so the run resumes from everything durably written.
+// vouch for so the run resumes from everything durably written. The
+// checkpoint's shard count comes from its meta.json stamp.
 func debugRepair(args []string) error {
 	fs := flag.NewFlagSet("debug repair", flag.ExitOnError)
-	spec := fs.String("store", "jsonl", "store spec to repair: jsonl | binary:N")
 	eventsDir := fs.String("events", "", "repair a flight-recorder directory instead of a record store")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -58,9 +59,9 @@ func debugRepair(args []string) error {
 		return nil
 	}
 	if fs.NArg() != 1 {
-		return fmt.Errorf("debug repair needs the store path (or --events <dir>)")
+		return fmt.Errorf("debug repair needs the checkpoint directory (or --events <dir>)")
 	}
-	dropped, err := aipan.RepairDatasetStore(*spec, fs.Arg(0))
+	dropped, err := store.Repair(fs.Arg(0))
 	if err != nil {
 		return err
 	}

@@ -16,6 +16,7 @@ import (
 	"aipan/internal/dispatch"
 	"aipan/internal/engine"
 	"aipan/internal/obs"
+	"aipan/internal/store"
 )
 
 // runDistributed runs one study as a dispatch job: a coordinator
@@ -37,13 +38,12 @@ func runDistributed(out string, rf runFlags, seed int64, model string, of obsFla
 			"the coordinator merges records only")
 	}
 
-	spec := rf.storeSpec
-	if (spec == "" || spec == "jsonl") && rf.checkpoint == "" {
-		spec = "mem"
-	}
-	st, err := aipan.OpenDatasetStore(spec, rf.checkpoint)
-	if err != nil {
-		return err
+	var st aipan.DatasetStore = store.NewMem()
+	var err error
+	if rf.checkpoint != "" {
+		if st, err = aipan.OpenDatasetStore(rf.storeSpec, rf.checkpoint); err != nil {
+			return err
+		}
 	}
 	defer st.Close()
 

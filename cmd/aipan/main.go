@@ -4,12 +4,12 @@
 //
 // Usage:
 //
-//	aipan run      --out aipan.jsonl [--limit N] [--universe N] [--model sim-gpt4] [--workers 8] [--seed 3000] [--checkpoint ck.jsonl] [--store jsonl|binary:N|mem] [--stats-out stats.json] [--metrics-addr :9090] [--trace-out run.trace] [--events-out events/] [--telemetry-timings]
+//	aipan run      --out aipan.jsonl [--limit N] [--universe N] [--model sim-gpt4] [--workers 8] [--seed 3000] [--checkpoint ckdir [--store binary:N]] [--stats-out stats.json] [--metrics-addr :9090] [--trace-out run.trace] [--events-out events/] [--telemetry-timings]
 //	aipan report   --data aipan.jsonl --table funnel|1|2a|2b|3|4|5|6|dist|retention [--seed 3000]
 //	aipan validate --data aipan.jsonl [--seed 3000]
 //	aipan compare-models [--n 20] [--seed 3000]
-//	aipan serve    --data aipan.jsonl [--store jsonl|binary:N] [--addr :8090] [--rps 50 --burst 100] [--max-inflight 256] [--cache-size 1024] [--request-timeout 15s] [--drain-timeout 10s] [--log-level info] [--events events/] [--slo-latency-target 250ms]
-//	aipan debug    trace <file> | events <dir> | repair --store <spec> <path> | repair --events <dir>
+//	aipan serve    --data aipan.jsonl|ckdir [--addr :8090] [--rps 50 --burst 100] [--max-inflight 256] [--cache-size 1024] [--request-timeout 15s] [--drain-timeout 10s] [--log-level info] [--events events/] [--slo-latency-target 250ms]
+//	aipan debug    trace <file> | events <dir> | repair <dir> | repair --events <dir>
 //	aipan vet      [-json] [-baseline aipanvet.baseline|none] [-checks a,b] ./...
 //	aipan all      --out aipan.jsonl [--limit N]
 package main
@@ -32,6 +32,7 @@ import (
 	"aipan/internal/chatbot"
 	"aipan/internal/core"
 	"aipan/internal/obs"
+	"aipan/internal/store"
 )
 
 func main() {
@@ -96,7 +97,8 @@ commands:
   prompts         print the chatbot task prompts (Figure 2 / Appendix C)
   diff            compare two dataset snapshots (trend analysis)
   serve           expose a dataset over the versioned /v1 HTTP/JSON API
-  debug           inspect durable telemetry: debug trace <file> | debug events <dir>
+  debug           inspect durable telemetry and repair torn checkpoints:
+                  debug trace <file> | debug events <dir> | debug repair <dir>
   vet             run the repo's own static-analysis checkers (aipanvet)
   all             run + funnel + all tables + validation in one go`)
 }
@@ -156,7 +158,8 @@ type runFlags struct {
 
 // validate rejects nonsensical flag combinations up front with a usage
 // error, instead of surfacing them later as a crawl that silently does
-// nothing or a store open failure mid-run.
+// nothing or a store open failure mid-run. An empty --store is the
+// default checkpoint format, binary:1.
 func (rf *runFlags) validate() error {
 	if rf.workers < 0 {
 		return fmt.Errorf("--workers must be non-negative (got %d)", rf.workers)
@@ -167,25 +170,16 @@ func (rf *runFlags) validate() error {
 	if rf.universe < 0 {
 		return fmt.Errorf("--universe must be non-negative (got %d; 0 = the paper's 2,892 domains)", rf.universe)
 	}
-	switch {
-	case rf.storeSpec == "" || rf.storeSpec == "jsonl" || rf.storeSpec == "mem":
-	case strings.HasPrefix(rf.storeSpec, "binary:"):
-		if rf.checkpoint == "" {
-			return fmt.Errorf("--store=%s needs --checkpoint to name its shard directory", rf.storeSpec)
-		}
-	default:
-		return storeSpecErr(rf.storeSpec, "jsonl, binary:N, or mem")
+	if rf.storeSpec == "" {
+		return nil
+	}
+	if _, err := store.ParseSpec(rf.storeSpec); err != nil {
+		return fmt.Errorf("--store %s: %w", rf.storeSpec, err)
+	}
+	if rf.checkpoint == "" {
+		return fmt.Errorf("--store=%s needs --checkpoint to name its shard directory", rf.storeSpec)
 	}
 	return nil
-}
-
-// storeSpecErr is the usage error for a --store value outside want; the
-// retired sharded:N spec names its binary:N replacement.
-func storeSpecErr(spec, want string) error {
-	if n, ok := strings.CutPrefix(spec, "sharded:"); ok {
-		return fmt.Errorf("--store %s: the sharded:N JSONL layout is retired; use --store binary:%s", spec, n)
-	}
-	return fmt.Errorf("--store must be %s (got %q)", want, spec)
 }
 
 func runPipeline(out string, rf runFlags, seed int64, model string, progress bool, of obsFlags) (*core.Result, *aipan.Pipeline, error) {
@@ -199,6 +193,20 @@ func runPipeline(out string, rf runFlags, seed int64, model string, progress boo
 	cfg := aipan.PipelineConfig{
 		Seed: seed, Limit: rf.limit, Workers: rf.workers, Bot: bot,
 		UniverseDomains: rf.universe, TelemetryTimings: of.telemetryTimings,
+	}
+	// A checkpoint is the run's store: the run resumes from it, and the
+	// exports below read back through it. It opens before any telemetry
+	// output is created, so a refused checkpoint leaves nothing behind.
+	var st aipan.DatasetStore
+	if rf.checkpoint != "" {
+		if st, err = aipan.OpenDatasetStore(rf.storeSpec, rf.checkpoint); err != nil {
+			return nil, nil, err
+		}
+		defer st.Close()
+		cfg.Store = st
+		// Records live in the store; streaming them into the Result too
+		// would hold the whole dataset in memory for nothing.
+		cfg.DiscardRecords = true
 	}
 	// Telemetry outputs close after the run so the sorted trace exporter
 	// can write its deterministic file; close errors are surfaced on
@@ -226,20 +234,6 @@ func runPipeline(out string, rf runFlags, seed int64, model string, progress boo
 		}
 		telemetryClosers = append(telemetryClosers, ev.Close)
 		cfg.Events = ev
-	}
-	// A checkpoint (JSONL by default) or a mem store is the run's
-	// store: the run resumes from it, and the exports below read back
-	// through it.
-	var st aipan.DatasetStore
-	if rf.checkpoint != "" || rf.storeSpec == "mem" {
-		if st, err = aipan.OpenDatasetStore(rf.storeSpec, rf.checkpoint); err != nil {
-			return nil, nil, err
-		}
-		defer st.Close()
-		cfg.Store = st
-		// Records live in the store; streaming them into the Result too
-		// would hold the whole dataset in memory for nothing.
-		cfg.DiscardRecords = true
 	}
 	if of.logLevel != "" {
 		logger, err := aipan.NewLogger(os.Stderr, of.logLevel)
@@ -331,8 +325,8 @@ func cmdRun(args []string) error {
 	model := fs.String("model", "sim-gpt4", "chatbot backend")
 	csvPrefix := fs.String("csv", "", "also write <prefix>-annotations.csv and <prefix>-domains.csv")
 	taxPath := fs.String("taxonomy", "", "JSON taxonomy extension to merge before annotating")
-	checkpoint := fs.String("checkpoint", "", "stream records to this path and resume from it on restart")
-	storeSpec := fs.String("store", "jsonl", "checkpoint storage backend: jsonl | binary:N | mem")
+	checkpoint := fs.String("checkpoint", "", "stream records to a store in this directory and resume from it on restart")
+	storeSpec := fs.String("store", "", "checkpoint format: binary:N, N shards (default binary:1; needs --checkpoint)")
 	statsOut := fs.String("stats-out", "", "write run statistics (domains, wall secs, domains/sec, peak RSS) as JSON here")
 	distributed := fs.Int("distributed", 0,
 		"run the study through the dispatch coordinator with N in-process workers (0 = single-process)")
@@ -634,9 +628,8 @@ func cmdDiff(args []string) error {
 }
 
 // serveFlags are the serving-layer knobs, validated as a set before the
-// store is opened (mirrors runFlags.validate for the pipeline commands).
+// dataset is opened (mirrors runFlags.validate for the pipeline commands).
 type serveFlags struct {
-	storeSpec      string
 	rps            float64
 	burst          int
 	maxInflight    int
@@ -646,13 +639,6 @@ type serveFlags struct {
 }
 
 func (sf *serveFlags) validate() error {
-	switch {
-	case sf.storeSpec == "" || sf.storeSpec == "jsonl" || strings.HasPrefix(sf.storeSpec, "binary:"):
-	case sf.storeSpec == "mem":
-		return fmt.Errorf("serve needs a persistent dataset; --store must be jsonl or binary:N")
-	default:
-		return storeSpecErr(sf.storeSpec, "jsonl or binary:N")
-	}
 	if sf.rps < 0 {
 		return fmt.Errorf("--rps must be non-negative (got %g; 0 disables rate limiting)", sf.rps)
 	}
@@ -676,11 +662,10 @@ func (sf *serveFlags) validate() error {
 
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
-	data := fs.String("data", "aipan.jsonl", "dataset path (file, or shard directory with --store=binary:N)")
+	data := fs.String("data", "aipan.jsonl", "dataset to serve: a JSONL export file, or a checkpoint directory")
 	addr := fs.String("addr", ":8090", "listen address")
 	logLevel := fs.String("log-level", "", "structured request logs to stderr: debug | info | warn | error (default off)")
 	var sf serveFlags
-	fs.StringVar(&sf.storeSpec, "store", "jsonl", "dataset storage backend: jsonl | binary:N")
 	fs.Float64Var(&sf.rps, "rps", 50, "per-client rate limit in requests/second (0 disables)")
 	fs.IntVar(&sf.burst, "burst", 100, "per-client burst allowance (0 derives it from --rps)")
 	fs.IntVar(&sf.maxInflight, "max-inflight", 256, "concurrent requests admitted before shedding with 503")
@@ -697,20 +682,11 @@ func cmdServe(args []string) error {
 	if err := sf.validate(); err != nil {
 		return err
 	}
-	// The store constructors open for appending and create a missing
-	// path, which would serve an empty dataset and report ready.
-	if _, err := os.Stat(*data); err != nil {
-		return fmt.Errorf("serve: no dataset to serve: %w", err)
-	}
-	st, err := aipan.OpenDatasetStore(sf.storeSpec, *data)
+	src, n, closeSrc, err := openServeSource(*data)
 	if err != nil {
 		return err
 	}
-	defer st.Close()
-	n, err := st.Len()
-	if err != nil {
-		return err
-	}
+	defer closeSrc()
 
 	var logger *aipan.Logger
 	if *logLevel != "" {
@@ -736,7 +712,7 @@ func cmdServe(args []string) error {
 		defer ev.Close()
 		opts = append(opts, aipan.WithServerEvents(ev))
 	}
-	s, err := aipan.NewDatasetServer(aipan.DatasetFromStore(st), opts...)
+	s, err := aipan.NewDatasetServer(src, opts...)
 	if err != nil {
 		return err
 	}
@@ -761,6 +737,34 @@ func cmdServe(args []string) error {
 		return nil
 	}
 	return err
+}
+
+// openServeSource opens serve's --data, taking the format from the
+// path: a file is a JSONL export, read once with no write handle open;
+// a directory is a binary checkpoint, opened with the shard count its
+// meta.json stamp records. A missing path is refused, not served as an
+// empty dataset.
+func openServeSource(path string) (src aipan.DatasetSource, n int, closeFn func() error, err error) {
+	fi, err := os.Stat(path)
+	if err != nil {
+		return nil, 0, nil, fmt.Errorf("serve: no dataset to serve: %w", err)
+	}
+	if !fi.IsDir() {
+		records, err := aipan.ReadDataset(path)
+		if err != nil {
+			return nil, 0, nil, err
+		}
+		return aipan.DatasetRecords(records), len(records), func() error { return nil }, nil
+	}
+	st, err := store.OpenBinaryDir(path)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	if n, err = st.Len(); err != nil {
+		_ = st.Close()
+		return nil, 0, nil, err
+	}
+	return aipan.DatasetFromStore(st), n, st.Close, nil
 }
 
 func cmdAll(args []string) error {

@@ -17,22 +17,25 @@ import (
 //     (rand.New(rand.NewSource(seed))) are deterministic.
 //  3. map iteration feeding output — ranging over a map and appending,
 //     sending, or writing rows leaks Go's randomized map order into the
-//     result, and so does assigning the range key or value to a plain
-//     variable declared outside the loop (a first- or last-wins pick),
-//     unless the enclosing function sorts afterwards (collect-then-sort
-//     is the repo's sanctioned pattern).
+//     result unless the enclosing function sorts afterwards
+//     (collect-then-sort is the repo's sanctioned pattern). Assigning
+//     the range key or value to a plain variable declared outside the
+//     loop (a first- or last-wins pick) is flagged whatever follows: a
+//     later sort cannot reorder a value already chosen.
 //
 // webgen/russell/downstream (seeded rand) and obs (wall clock) are
 // allowlisted by construction: they are not in DeterministicPkgs.
 var determinismChecker = &Checker{
 	Name: "determinism",
-	Doc:  "no wall clock, global rand, or unsorted map iteration (output or a first/last-wins pick) in dataset-producing packages",
+	Doc:  "no wall clock, global rand, unsorted map-iteration output, or first/last-wins map pick in dataset-producing packages",
 	Rationale: "The reproduction's core guarantee is byte-identical dataset output for a " +
 		"given seed, across worker counts and store backends. Any wall-clock read, draw from " +
 		"the unseeded global math/rand source, map-iteration-ordered output, or element " +
 		"picked by map order (the first or last range key or value kept in an outer " +
 		"variable, so ties go to whichever the map yields) inside the " +
-		"dataset-producing packages breaks that silently. This checker bans the sources " +
+		"dataset-producing packages breaks that silently. A sort after the loop launders " +
+		"collected output but not a pick: it cannot reorder a value already chosen. " +
+		"This checker bans the sources " +
 		"syntactically inside Config.DeterministicPkgs; nondetflow complements it by tracking " +
 		"derived values through call chains module-wide.",
 	Example: `internal/core/pipeline.go:101: [determinism] time.Now is nondeterministic; inject obs.Clock or derive from the seed`,
@@ -85,7 +88,8 @@ func checkDeterminismCall(p *Pass, pkg *Package, call *ast.CallExpr) {
 }
 
 // checkMapRanges walks one function body and flags map-range loops that
-// feed output without a later sort in the same function.
+// feed output without a later sort in the same function, and loops that
+// pick an element, which no later sort can launder.
 func checkMapRanges(p *Pass, pkg *Package, body *ast.BlockStmt) {
 	// Collect the positions after which a sort call occurs.
 	var sortPositions []token.Pos
@@ -123,13 +127,15 @@ func checkMapRanges(p *Pass, pkg *Package, body *ast.BlockStmt) {
 		if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
 			return true
 		}
-		reason := feedsOutput(pkg, rng.Body)
-		if reason == "" {
-			reason = picksElement(pkg, rng)
-		}
-		if reason != "" && !sortedAfter(rng.End()) {
+		if reason := feedsOutput(pkg, rng.Body); reason != "" {
+			if !sortedAfter(rng.End()) {
+				p.Reportf(rng.Pos(),
+					"map iteration %s without a following sort leaks randomized map order into output in deterministic package %s",
+					reason, pkg.Path)
+			}
+		} else if reason := picksElement(pkg, rng); reason != "" {
 			p.Reportf(rng.Pos(),
-				"map iteration %s without a following sort leaks randomized map order into output in deterministic package %s",
+				"map iteration %s leaks randomized map order into output in deterministic package %s; a later sort cannot reorder a value already picked",
 				reason, pkg.Path)
 		}
 		return true

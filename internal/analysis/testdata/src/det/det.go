@@ -90,11 +90,11 @@ func closestSorted(m map[string]int, target int) string {
 	return best
 }
 
-// pickThenSort is exempt because a sort follows the loop, the same
-// exemption appends get (the checker cannot tell what the sort orders).
+// pickThenSort is still a pick: the sort after the loop orders out, and
+// no sort can reorder a value the loop already chose.
 func pickThenSort(m map[string]int, out []string) string {
 	last := ""
-	for k := range m {
+	for k := range m { // want map iteration assigning the range key or value to last \(a first- or last-wins pick\) leaks
 		last = k
 	}
 	sort.Strings(out)

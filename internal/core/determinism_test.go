@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"reflect"
 	"testing"
-
-	"aipan/internal/store"
 )
 
 // TestPipelineDeterminismAcrossWorkerCounts is the acceptance bar for the
@@ -52,7 +50,7 @@ func TestPipelineDeterminismAcrossWorkerCounts(t *testing.T) {
 // uninterrupted run.
 func TestCheckpointResumeAfterCancel(t *testing.T) {
 	const limit = 30
-	ckpt := t.TempDir() + "/checkpoint.jsonl"
+	ckpt := t.TempDir() + "/checkpoint"
 
 	// First run: cancel once a third of the domains have completed.
 	ctx, cancel := context.WithCancel(context.Background())
@@ -67,10 +65,7 @@ func TestCheckpointResumeAfterCancel(t *testing.T) {
 		t.Fatal("canceled run should return an error")
 	}
 
-	prior, err := store.ReadJSONL(ckpt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prior := checkpointRecords(t, ckpt)
 	if len(prior) == 0 || len(prior) >= limit {
 		t.Fatalf("checkpoint has %d records after cancel, want 1..%d", len(prior), limit-1)
 	}

@@ -76,14 +76,15 @@ type Config struct {
 	// (0, 0) when a checkpoint append fails; it never carries the
 	// terminal tick.
 	Progress func(stage string, done, total int)
-	// Store, when set, is the run's checkpoint (JSONL, binary, in-memory,
-	// ...): each completed record streams into it and, on start, domains
-	// already present are skipped — an interrupted multi-hour crawl
-	// resumes where it stopped. A store that carries metadata is stamped
-	// with the run Seed; resuming it under a different seed is refused
-	// (the synthetic web, and therefore every record, is a function of
-	// the seed — mixing seeds would silently corrupt the dataset). The
-	// caller keeps ownership: the pipeline never closes it.
+	// Store, when set, is the run's checkpoint (a binary segment store or
+	// an in-memory one): each completed record streams into it and, on
+	// start, domains already present are skipped — an interrupted
+	// multi-hour crawl resumes where it stopped. A store that carries
+	// metadata is stamped with the run Seed; resuming it under a
+	// different seed is refused (the synthetic web, and therefore every
+	// record, is a function of the seed — mixing seeds would silently
+	// corrupt the dataset). The caller keeps ownership: the pipeline
+	// never closes it.
 	Store store.Store
 	// Registry receives all pipeline metrics — its own and those of the
 	// crawler, chatbot client, and annotator it builds (default: the

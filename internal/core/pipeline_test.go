@@ -149,7 +149,7 @@ func TestFunnelUniverseNumbers(t *testing.T) {
 }
 
 func TestCheckpointResume(t *testing.T) {
-	ckpt := t.TempDir() + "/checkpoint.jsonl"
+	ckpt := t.TempDir() + "/checkpoint"
 
 	// First run: 12 domains, all written to the checkpoint.
 	res1, err := runCheckpointed(context.Background(), t, ckpt, Config{Limit: 12, Workers: 4})

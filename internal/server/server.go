@@ -55,10 +55,10 @@ type recordsSource []store.Record
 
 func (rs recordsSource) Load() ([]store.Record, error) { return rs, nil }
 
-// FromStore adapts any store backend — JSONL file, binary shard
-// directory, in-memory — into a Source, without an
+// FromStore adapts any store backend — binary shard directory or
+// in-memory — into a Source, without an
 // intermediate flat-file export. Backends exposing per-shard views
-// (every shipped backend does) load incrementally: each Refresh
+// (both shipped backends do) load incrementally: each Refresh
 // re-scans only the shards whose change stamp moved since the previous
 // generation, so refreshing a mostly-quiet large store costs stat
 // calls, not a dataset re-read.

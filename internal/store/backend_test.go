@@ -24,18 +24,14 @@ func testRecords(n int) []Record {
 	return recs
 }
 
-// openBackends builds one of each backend rooted in dir.
+// openBackends builds one of each backend, the binary one rooted in dir.
 func openBackends(t *testing.T, dir string) map[string]Store {
 	t.Helper()
-	js, err := OpenJSONL(filepath.Join(dir, "data.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	bn, err := OpenBinary(filepath.Join(dir, "bins"), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]Store{"jsonl": js, "binary": bn, "mem": NewMem()}
+	return map[string]Store{"binary": bn, "mem": NewMem()}
 }
 
 func TestBackendsRoundTrip(t *testing.T) {
@@ -105,45 +101,6 @@ func TestBackendsMetaStamp(t *testing.T) {
 	}
 }
 
-func TestJSONLResumeAcrossReopen(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ck.jsonl")
-	recs := testRecords(6)
-	st, err := OpenJSONL(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if err := st.Append(&recs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st.Close()
-
-	// Reopen and keep appending: the first three records must survive.
-	st, err = OpenJSONL(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 3; i < 6; i++ {
-		if err := st.Append(&recs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var domains []string
-	if err := st.Scan(func(r *Record) error { domains = append(domains, r.Domain); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	st.Close()
-	if len(domains) != 6 {
-		t.Fatalf("scanned %d records after reopen, want 6: %v", len(domains), domains)
-	}
-	for i := range recs {
-		if domains[i] != recs[i].Domain {
-			t.Fatalf("append order broken across reopen: %v", domains)
-		}
-	}
-}
-
 func TestShardedDistributesAndRefusesMismatch(t *testing.T) {
 	dir := t.TempDir()
 	st, err := OpenBinary(dir, 4)
@@ -187,10 +144,20 @@ func TestShardedDistributesAndRefusesMismatch(t *testing.T) {
 	}
 }
 
+// TestSaveJSONLByteIdenticalAcrossBackends: every backend, fed the same
+// records in its own order, exports the bytes WriteJSONL writes for the
+// domain-sorted records.
 func TestSaveJSONLByteIdenticalAcrossBackends(t *testing.T) {
-	recs := testRecords(30)
+	recs := testRecords(30) // already in domain order
 	dir := t.TempDir()
-	outputs := map[string][]byte{}
+	ref := filepath.Join(dir, "reference.jsonl")
+	if err := WriteJSONL(ref, recs); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for name, st := range openBackends(t, dir) {
 		// Append in a backend-specific order: the export must not care.
 		perm := make([]int, len(recs))
@@ -218,73 +185,122 @@ func TestSaveJSONLByteIdenticalAcrossBackends(t *testing.T) {
 		if err := SaveJSONL(out, st); err != nil {
 			t.Fatalf("SaveJSONL from %s: %v", name, err)
 		}
-		data, err := os.ReadFile(out)
+		got, err := os.ReadFile(out)
 		if err != nil {
 			t.Fatal(err)
 		}
-		outputs[name] = data
-		st.Close()
-	}
-	for name, data := range outputs {
-		if !bytes.Equal(outputs["jsonl"], data) {
-			t.Fatalf("SaveJSONL output from %s differs from jsonl backend holding the same records", name)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("SaveJSONL output from %s differs from WriteJSONL of the sorted records", name)
 		}
-	}
-	// And the export is a loadable dataset with every record present.
-	loaded, err := ReadJSONL(filepath.Join(dir, "mem-export.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(loaded) != len(recs) {
-		t.Fatalf("export holds %d records, want %d", len(loaded), len(recs))
+		st.Close()
 	}
 }
 
 func TestOpenSpec(t *testing.T) {
 	dir := t.TempDir()
-	cases := []struct {
-		spec, path string
-		wantType   string
-		wantErr    bool
-	}{
-		{"", filepath.Join(dir, "a.jsonl"), "*store.JSONL", false},
-		{"jsonl", filepath.Join(dir, "b.jsonl"), "*store.JSONL", false},
-		{"mem", "", "*store.Mem", false},
-		{"binary:4", filepath.Join(dir, "bin"), "*store.Binary", false},
-		{"binary:nope", dir, "", true},
-		{"binary:0", dir, "", true},
-		{"bolt", dir, "", true},
-	}
-	for _, tc := range cases {
-		st, err := OpenSpec(tc.spec, tc.path)
-		if tc.wantErr {
-			if err == nil {
-				t.Fatalf("OpenSpec(%q) succeeded, want error", tc.spec)
-			}
-			continue
-		}
+	for i, tc := range []struct {
+		spec   string
+		shards int
+	}{{"", 1}, {"binary:1", 1}, {"binary:4", 4}, {"binary:99", 99}} {
+		path := filepath.Join(dir, fmt.Sprintf("spec-%d", i))
+		st, err := OpenSpec(tc.spec, path)
 		if err != nil {
 			t.Fatalf("OpenSpec(%q): %v", tc.spec, err)
 		}
-		if got := fmt.Sprintf("%T", st); got != tc.wantType {
-			t.Fatalf("OpenSpec(%q) = %s, want %s", tc.spec, got, tc.wantType)
+		bn, ok := st.(*Binary)
+		if !ok || bn.NumShards() != tc.shards {
+			t.Fatalf("OpenSpec(%q) = %T, want a %d-shard *store.Binary", tc.spec, st, tc.shards)
 		}
 		st.Close()
+	}
+	for _, tc := range []struct{ spec, wantErr string }{
+		{"jsonl", "binary:N"},
+		{"mem", "binary:N"},
+		{"bolt", "binary:N"},
+		{"binary:nope", "binary:N"},
+		{"binary:0", "1..99"},
+		{"binary:100", "1..99"},
+	} {
+		path := filepath.Join(dir, "refused")
+		if _, err := OpenSpec(tc.spec, path); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Fatalf("OpenSpec(%q) = %v, want a refusal naming %s", tc.spec, err, tc.wantErr)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Fatalf("refused spec %q touched %s (stat err = %v)", tc.spec, path, err)
+		}
 	}
 }
 
 // TestRetiredShardedSpecRefused: the sharded:N JSONL layout is gone;
-// opening or repairing by its spec fails with an error naming the
-// binary:N replacement, and creates nothing on disk.
+// its spec fails with an error naming the binary:N replacement, and
+// creates nothing on disk.
 func TestRetiredShardedSpecRefused(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "sh")
 	if _, err := OpenSpec("sharded:4", dir); err == nil || !strings.Contains(err.Error(), "binary:4") {
 		t.Fatalf("OpenSpec(sharded:4) = %v, want a refusal naming binary:4", err)
 	}
-	if _, err := Repair("sharded:4", dir); err == nil || !strings.Contains(err.Error(), "binary:4") {
-		t.Fatalf("Repair(sharded:4) = %v, want a refusal naming binary:4", err)
-	}
 	if _, err := os.Stat(dir); !os.IsNotExist(err) {
 		t.Fatalf("refused spec touched %s (stat err = %v)", dir, err)
+	}
+}
+
+// TestBinaryRefusesJSONLCheckpointFile: a store path naming a regular
+// file — a checkpoint from the retired JSONL store — is refused naming
+// the retirement and binary:N, and the file keeps its bytes.
+func TestBinaryRefusesJSONLCheckpointFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ck.jsonl")
+	if err := WriteJSONL(path, testRecords(3)); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []string{"", "binary:4"} {
+		_, err := OpenSpec(spec, path)
+		if err == nil || !strings.Contains(err.Error(), "JSONL checkpoints are retired") || !strings.Contains(err.Error(), "binary:N") {
+			t.Fatalf("OpenSpec(%q) over a JSONL file = %v, want the retirement refusal naming binary:N", spec, err)
+		}
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("refused open changed the file (err %v)", err)
+	}
+}
+
+// TestOpenBinaryDirReadsStamp: OpenBinaryDir takes the shard count from
+// the meta.json stamp, and refuses a directory without one by name.
+func TestOpenBinaryDirReadsStamp(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenBinary(dir, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := testRecords(12)
+	for i := range recs {
+		if err := st.Append(&recs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.SetMeta(Meta{Seed: 5}); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	got, err := OpenBinaryDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := got.Len(); got.NumShards() != 3 || n != len(recs) {
+		t.Fatalf("OpenBinaryDir: %d shards, %d records; want 3, %d", got.NumShards(), n, len(recs))
+	}
+	got.Close()
+
+	bare := t.TempDir()
+	for name, open := range map[string]func() error{
+		"OpenBinaryDir": func() error { _, err := OpenBinaryDir(bare); return err },
+		"Repair":        func() error { _, err := Repair(bare); return err },
+	} {
+		if err := open(); err == nil || !strings.Contains(err.Error(), bare) {
+			t.Fatalf("%s over an unstamped directory = %v, want a refusal naming it", name, err)
+		}
 	}
 }

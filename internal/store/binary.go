@@ -8,13 +8,14 @@ import (
 	"sync"
 )
 
-// Binary is the sharded backend for large runs: records are framed
+// Binary is the one on-disk checkpoint format: records are framed
 // (frame.go) into seg-%02d.bin files sharded by domain hash (ShardOf),
 // with a seg-%02d.idx sidecar per shard mapping each domain to its
 // frame so point lookups and reopen never re-parse the segment. The
-// binary codec (codec.go) is ~3× denser than JSONL and decodes without
-// reflection, which is what keeps Scan off the allocation hot path at
-// 100k domains.
+// binary codec (codec.go) decodes without reflection, which is what
+// keeps Scan off the allocation hot path at 100k domains, and is 1.58×
+// denser than JSONL: a full seed-3000 run takes 22.3 MB of segments
+// plus a 96 KB index against a 35.2 MB JSONL export.
 //
 // The idx sidecar is a cache, not truth: on open it is validated
 // against the segment, entries the segment does not back are discarded,
@@ -44,10 +45,14 @@ type recLoc struct {
 // OpenBinary opens (or creates) a binary segment store in dir with the
 // given shard count (1..99). A directory stamped by any other layout —
 // the retired sharded:N JSONL store among them — is refused, never
-// opened as an empty store.
+// opened as an empty store, and so is a dir that names a regular file,
+// such as a retired JSONL checkpoint, which is left untouched.
 func OpenBinary(dir string, shards int) (*Binary, error) {
-	if shards < 1 || shards > 99 {
-		return nil, fmt.Errorf("store: shard count %d out of range 1..99", shards)
+	if err := checkShards(shards); err != nil {
+		return nil, err
+	}
+	if fi, err := os.Stat(dir); err == nil && !fi.IsDir() {
+		return nil, fmt.Errorf("store: %s is a file, not a store directory: JSONL checkpoints are retired, so checkpoint into a directory with binary:N (the file is left as it was)", dir)
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating segment dir: %w", err)
@@ -64,12 +69,8 @@ func OpenBinary(dir string, shards int) (*Binary, error) {
 	if m, ok, err := s.Meta(); err != nil {
 		return nil, err
 	} else if ok {
-		if m.Format == "" {
-			return nil, fmt.Errorf("store: %s holds a store in the retired sharded:N JSONL layout, which this build no longer reads; re-run into a fresh directory with --store binary:%d",
-				dir, shards)
-		}
-		if m.Format != FormatBinary {
-			return nil, fmt.Errorf("store: %s holds a %q store, not a binary one", dir, m.Format)
+		if err := checkFormat(dir, m); err != nil {
+			return nil, err
 		}
 		if m.Shards != 0 && m.Shards != shards {
 			return nil, fmt.Errorf("store: %s was created with %d shards, reopened with %d",
@@ -84,16 +85,58 @@ func OpenBinary(dir string, shards int) (*Binary, error) {
 	return s, nil
 }
 
+// OpenBinaryDir opens the existing binary store in dir with the shard
+// count its meta.json stamp records. This is the path `aipan serve
+// --data <dir>` reads a checkpoint through; a directory without the
+// stamp is refused, never opened as an empty store.
+func OpenBinaryDir(dir string) (*Binary, error) {
+	n, err := stampedShards(dir)
+	if err != nil {
+		return nil, err
+	}
+	return OpenBinary(dir, n)
+}
+
+// stampedShards reads the shard count from dir's meta.json, refusing a
+// directory with no stamp or with another layout's.
+func stampedShards(dir string) (int, error) {
+	m, ok, err := readMetaFile(filepath.Join(dir, "meta.json"))
+	if err != nil {
+		return 0, err
+	}
+	if !ok {
+		return 0, fmt.Errorf("store: %s holds no binary store (no meta.json stamp)", dir)
+	}
+	if err := checkFormat(dir, m); err != nil {
+		return 0, err
+	}
+	return m.Shards, nil
+}
+
+// checkFormat refuses a stamp written by any layout but the binary one,
+// naming the binary:N replacement for the retired sharded layout.
+func checkFormat(dir string, m Meta) error {
+	switch m.Format {
+	case FormatBinary:
+		return nil
+	case "":
+		return fmt.Errorf("store: %s holds a store in the retired sharded:N JSONL layout, which this build no longer reads; re-run into a fresh directory with --store binary:%d",
+			dir, m.Shards)
+	}
+	return fmt.Errorf("store: %s holds a %q store, not a binary one", dir, m.Format)
+}
+
 // FormatBinary is the Meta.Format stamp of a Binary store.
 const FormatBinary = "binary"
 
-func (s *Binary) binPath(i int) string {
-	return filepath.Join(s.dir, fmt.Sprintf("seg-%02d.bin", i))
+// segPath names shard i's segment file (ext "bin") or sidecar ("idx").
+func segPath(dir string, i int, ext string) string {
+	return filepath.Join(dir, fmt.Sprintf("seg-%02d.%s", i, ext))
 }
 
-func (s *Binary) idxPath(i int) string {
-	return filepath.Join(s.dir, fmt.Sprintf("seg-%02d.idx", i))
-}
+func (s *Binary) binPath(i int) string { return segPath(s.dir, i, "bin") }
+
+func (s *Binary) idxPath(i int) string { return segPath(s.dir, i, "idx") }
 
 func (s *Binary) shardOf(domain string) int {
 	return ShardOf(domain, s.shards)

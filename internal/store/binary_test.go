@@ -87,7 +87,7 @@ func randRecord(r *rand.Rand) Record {
 // TestCodecRoundTripRandomized checks the binary codec against the JSON
 // codec: for randomized records, encode → decode must reproduce the
 // record exactly (JSON form compared, so nil-vs-empty slice conventions
-// shared with the JSONL backend are the equality the export relies on).
+// shared with the JSONL export are the equality the export relies on).
 func TestCodecRoundTripRandomized(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for i := 0; i < 300; i++ {
@@ -139,14 +139,17 @@ func TestCodecRefusesMalformedPayloads(t *testing.T) {
 	}
 }
 
-// seedBinary builds a single-shard binary store holding n records and
-// returns its dir. Single shard so every frame lands in seg-00.bin and
-// tail corruption is deterministic.
+// seedBinary builds a stamped single-shard binary store holding n
+// records and returns its dir. Single shard so every frame lands in
+// seg-00.bin and tail corruption is deterministic.
 func seedBinary(t *testing.T, n int) string {
 	t.Helper()
 	dir := t.TempDir()
 	st, err := OpenBinary(dir, 1)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SetMeta(Meta{Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 	recs := testRecords(n)
@@ -297,73 +300,54 @@ func TestBinaryRecoversFrameMissedBySidecar(t *testing.T) {
 }
 
 // TestBinaryCorruptionRefusedThenRepaired injects each corruption class
-// the format defends against — torn final frame, implausible length
-// prefix, garbage tail, flipped payload byte — and checks that the open
-// (or scan) refuses with ErrTruncated and that Repair truncates back to
-// the last good record so the store reopens cleanly.
+// the format defends against — a final frame torn at every byte inside
+// it, an implausible length prefix, a garbage tail, a flipped payload
+// byte — and checks that the open refuses with ErrTruncated and that
+// Repair cuts the segment back to exactly the last good frame boundary,
+// so the store reopens with the records before it.
 func TestBinaryCorruptionRefusedThenRepaired(t *testing.T) {
 	const n = 8
 	cases := []struct {
-		name    string
-		corrupt func(t *testing.T, bin string, offs []int64)
+		name string
+		// damage returns the damaged segment contents to try, one per
+		// variant.
+		damage  func(orig []byte, last int64) [][]byte
 		wantLen int // records surviving repair
 	}{
 		{
 			name: "torn-final-frame",
-			corrupt: func(t *testing.T, bin string, offs []int64) {
-				st, _ := os.Stat(bin)
-				if err := os.Truncate(bin, st.Size()-3); err != nil {
-					t.Fatal(err)
+			damage: func(orig []byte, last int64) [][]byte {
+				var out [][]byte
+				for cut := last + 1; cut < int64(len(orig)); cut++ {
+					out = append(out, orig[:cut])
 				}
+				return out
 			},
 			wantLen: n - 1,
 		},
 		{
 			name: "bad-length-prefix",
-			corrupt: func(t *testing.T, bin string, offs []int64) {
-				f, err := os.OpenFile(bin, os.O_WRONLY, 0o644)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer f.Close()
+			damage: func(orig []byte, last int64) [][]byte {
 				// An implausible (> maxFramePayload) declared length.
-				if _, err := f.WriteAt([]byte{0xff, 0xff, 0xff, 0x7f}, offs[len(offs)-1]); err != nil {
-					t.Fatal(err)
-				}
+				b := append([]byte{}, orig...)
+				copy(b[last:], []byte{0xff, 0xff, 0xff, 0x7f})
+				return [][]byte{b}
 			},
 			wantLen: n - 1,
 		},
 		{
 			name: "garbage-tail",
-			corrupt: func(t *testing.T, bin string, offs []int64) {
-				f, err := os.OpenFile(bin, os.O_WRONLY|os.O_APPEND, 0o644)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer f.Close()
-				if _, err := f.Write([]byte("this is not a frame, not even close........")); err != nil {
-					t.Fatal(err)
-				}
+			damage: func(orig []byte, last int64) [][]byte {
+				return [][]byte{append(append([]byte{}, orig...), "this is not a frame, not even close........"...)}
 			},
 			wantLen: n,
 		},
 		{
 			name: "flipped-payload-byte",
-			corrupt: func(t *testing.T, bin string, offs []int64) {
-				f, err := os.OpenFile(bin, os.O_RDWR, 0o644)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer f.Close()
-				off := offs[len(offs)-1] + 9 // a byte inside the final payload
-				b := make([]byte, 1)
-				if _, err := f.ReadAt(b, off); err != nil {
-					t.Fatal(err)
-				}
-				b[0] ^= 0x40
-				if _, err := f.WriteAt(b, off); err != nil {
-					t.Fatal(err)
-				}
+			damage: func(orig []byte, last int64) [][]byte {
+				b := append([]byte{}, orig...)
+				b[last+9] ^= 0x40 // a byte inside the final payload
+				return [][]byte{b}
 			},
 			wantLen: n - 1,
 		},
@@ -372,40 +356,58 @@ func TestBinaryCorruptionRefusedThenRepaired(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := seedBinary(t, n)
 			bin := filepath.Join(dir, "seg-00.bin")
-			tc.corrupt(t, bin, frameOffsets(t, bin))
-			// Force a full frame scan: the sidecar is a cache and a
-			// same-size payload corruption would otherwise hide behind it
-			// until Scan.
-			if err := os.Remove(filepath.Join(dir, "seg-00.idx")); err != nil {
+			orig, err := os.ReadFile(bin)
+			if err != nil {
 				t.Fatal(err)
 			}
+			offs := frameOffsets(t, bin)
+			// The boundary repair must cut back to: the start of the
+			// damaged final frame, or the end of the intact segment.
+			keep := int64(len(orig))
+			if tc.wantLen < n {
+				keep = offs[tc.wantLen]
+			}
+			for _, damaged := range tc.damage(orig, offs[len(offs)-1]) {
+				if err := os.WriteFile(bin, damaged, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				// Force a full frame scan: the sidecar is a cache and a
+				// same-size payload corruption would otherwise hide behind
+				// it until Scan.
+				if err := os.Remove(filepath.Join(dir, "seg-00.idx")); err != nil {
+					t.Fatal(err)
+				}
+				size := len(damaged)
+				_, err := OpenBinary(dir, 1)
+				if !errors.Is(err, ErrTruncated) {
+					t.Fatalf("size %d: open of corrupt store: err = %v, want ErrTruncated", size, err)
+				}
+				if !strings.Contains(err.Error(), "repair") {
+					t.Errorf("size %d: refusal does not point at repair: %v", size, err)
+				}
 
-			_, err := OpenBinary(dir, 1)
-			if !errors.Is(err, ErrTruncated) {
-				t.Fatalf("open of corrupt store: err = %v, want ErrTruncated", err)
-			}
-			if !strings.Contains(err.Error(), "repair") {
-				t.Errorf("refusal does not point at repair: %v", err)
-			}
-
-			dropped, err := Repair("binary:1", dir)
-			if err != nil {
-				t.Fatalf("Repair: %v", err)
-			}
-			if dropped <= 0 {
-				t.Fatalf("Repair dropped %d bytes, want > 0", dropped)
-			}
-			st, err := OpenBinary(dir, 1)
-			if err != nil {
-				t.Fatalf("reopen after repair: %v", err)
-			}
-			defer st.Close()
-			if got, _ := st.Len(); got != tc.wantLen {
-				t.Fatalf("Len after repair = %d, want %d", got, tc.wantLen)
-			}
-			// Every surviving record still decodes.
-			if err := st.Scan(func(*Record) error { return nil }); err != nil {
-				t.Fatalf("Scan after repair: %v", err)
+				dropped, err := Repair(dir)
+				if err != nil {
+					t.Fatalf("size %d: Repair: %v", size, err)
+				}
+				if want := int64(size) - keep; dropped != want {
+					t.Fatalf("size %d: Repair dropped %d bytes, want %d", size, dropped, want)
+				}
+				if fi, err := os.Stat(bin); err != nil || fi.Size() != keep {
+					t.Fatalf("size %d: segment after repair = %v (err %v), want %d bytes", size, fi, err, keep)
+				}
+				st, err := OpenBinary(dir, 1)
+				if err != nil {
+					t.Fatalf("size %d: reopen after repair: %v", size, err)
+				}
+				if got, _ := st.Len(); got != tc.wantLen {
+					t.Fatalf("size %d: Len after repair = %d, want %d", size, got, tc.wantLen)
+				}
+				// Every surviving record still decodes.
+				if err := st.Scan(func(*Record) error { return nil }); err != nil {
+					t.Fatalf("size %d: Scan after repair: %v", size, err)
+				}
+				st.Close()
 			}
 		})
 	}
@@ -468,25 +470,18 @@ func TestBinaryRefusesRetiredShardedDir(t *testing.T) {
 	if err := writeMetaFile(filepath.Join(dir, "meta.json"), Meta{Seed: 3000, Shards: 4}); err != nil {
 		t.Fatal(err)
 	}
-	old, err := OpenJSONL(filepath.Join(dir, "shard-00.jsonl"))
-	if err != nil {
+	if err := WriteJSONL(filepath.Join(dir, "shard-00.jsonl"), testRecords(10)); err != nil {
 		t.Fatal(err)
 	}
-	recs := testRecords(10)
-	for i := range recs {
-		if err := old.Append(&recs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	old.Close()
 	stamp, err := os.ReadFile(filepath.Join(dir, "meta.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	for name, open := range map[string]func() (Store, error){
-		"OpenBinary": func() (Store, error) { return OpenBinary(dir, 4) },
-		"OpenSpec":   func() (Store, error) { return OpenSpec("binary:4", dir) },
+		"OpenBinary":    func() (Store, error) { return OpenBinary(dir, 4) },
+		"OpenSpec":      func() (Store, error) { return OpenSpec("binary:4", dir) },
+		"OpenBinaryDir": func() (Store, error) { return OpenBinaryDir(dir) },
 	} {
 		if st, err := open(); err == nil {
 			n, _ := st.Len()
@@ -496,86 +491,52 @@ func TestBinaryRefusesRetiredShardedDir(t *testing.T) {
 			t.Fatalf("%s refusal %q does not name binary:4", name, err)
 		}
 	}
+	if _, err := Repair(dir); err == nil || !strings.Contains(err.Error(), "binary:4") {
+		t.Fatalf("Repair of a sharded JSONL directory = %v, want a refusal naming binary:4", err)
+	}
 	after, err := os.ReadFile(filepath.Join(dir, "meta.json"))
 	if err != nil || string(after) != string(stamp) {
 		t.Fatalf("refused open rewrote the stamp: %s -> %s (err %v)", stamp, after, err)
 	}
 }
 
-// TestJSONLTruncatedFinalRecordRefusal: a half-written final line (the
-// crash-mid-append signature) must scan as ErrTruncated; mid-file
-// corruption with intact records behind it is reported plainly. Repair
-// truncates the torn tail so the checkpoint resumes.
+// TestJSONLTruncatedFinalRecordRefusal: a JSONL dataset whose final
+// record is cut short, or with a bad line between good ones, fails to
+// load with an error naming the file and the line — never a silent
+// prefix. A JSONL file is an export, not a checkpoint, so there is no
+// truncation to repair: neither error matches ErrTruncated.
 func TestJSONLTruncatedFinalRecordRefusal(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "ck.jsonl")
-	st, err := OpenJSONL(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	recs := testRecords(3)
+	var good strings.Builder
+	enc := json.NewEncoder(&good)
 	for i := range recs {
-		if err := st.Append(&recs[i]); err != nil {
+		_ = enc.Encode(&recs[i])
+	}
+	var mid strings.Builder
+	_ = json.NewEncoder(&mid).Encode(&recs[0])
+	mid.WriteString("{{{ not json\n")
+	_ = json.NewEncoder(&mid).Encode(&recs[1])
+	for name, tc := range map[string]struct {
+		data string
+		line int
+	}{
+		"torn final record": {good.String() + `{"domain":"torn.example.com","compa`, 4},
+		"mid-file damage":   {mid.String(), 2},
+	} {
+		path := filepath.Join(t.TempDir(), "ds.jsonl")
+		if err := os.WriteFile(path, []byte(tc.data), 0o644); err != nil {
 			t.Fatal(err)
 		}
-	}
-	st.Close()
-	torn := []byte(`{"domain":"torn.example.com","compa`)
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(torn); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	st, err = OpenJSONL(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scanErr := st.Scan(func(*Record) error { return nil })
-	st.Close()
-	if !errors.Is(scanErr, ErrTruncated) {
-		t.Fatalf("scan over torn tail: err = %v, want ErrTruncated", scanErr)
-	}
-
-	dropped, err := Repair("jsonl", path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dropped != int64(len(torn)) {
-		t.Fatalf("Repair dropped %d bytes, want %d", dropped, len(torn))
-	}
-	st, err = OpenJSONL(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	if err := st.Scan(func(*Record) error { n++; return nil }); err != nil || n != 3 {
-		t.Fatalf("after repair: scanned %d records, err = %v; want 3, nil", n, err)
-	}
-	st.Close()
-
-	// Mid-file corruption (good records after the bad line) is not the
-	// truncation signature and must not match ErrTruncated.
-	mid := filepath.Join(dir, "mid.jsonl")
-	var buf strings.Builder
-	enc := json.NewEncoder(&buf)
-	_ = enc.Encode(&recs[0])
-	buf.WriteString("{{{ not json\n")
-	_ = enc.Encode(&recs[1])
-	if err := os.WriteFile(mid, []byte(buf.String()), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	ms, err := OpenJSONL(mid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	midErr := ms.Scan(func(*Record) error { return nil })
-	ms.Close()
-	if midErr == nil || errors.Is(midErr, ErrTruncated) {
-		t.Fatalf("mid-file corruption: err = %v, want plain (non-truncation) error", midErr)
+		recs, err := ReadJSONL(path)
+		if err == nil {
+			t.Fatalf("%s: loaded %d records, want a refusal", name, len(recs))
+		}
+		if want := fmt.Sprintf("%s line %d", path, tc.line); !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err = %v, want it to name %q", name, err, want)
+		}
+		if errors.Is(err, ErrTruncated) {
+			t.Errorf("%s: err = %v matches ErrTruncated, which points at a checkpoint repair", name, err)
+		}
 	}
 }
 

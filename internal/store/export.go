@@ -45,20 +45,6 @@ func fileStamp(path string) (string, error) {
 	return strconv.FormatInt(st.Size(), 10) + ":" + strconv.FormatInt(st.ModTime().UnixNano(), 10), nil
 }
 
-// NumShards implements ShardView (a JSONL store is one shard).
-func (s *JSONL) NumShards() int { return 1 }
-
-// ScanShard implements ShardView.
-func (s *JSONL) ScanShard(i int, fn func(*Record) error) error {
-	if i != 0 {
-		return fmt.Errorf("store: shard %d out of range for a JSONL store", i)
-	}
-	return s.Scan(fn)
-}
-
-// ShardStamp implements ShardView.
-func (s *JSONL) ShardStamp(i int) (string, error) { return fileStamp(s.path) }
-
 // NumShards implements ShardView (the in-memory store is one shard).
 func (s *Mem) NumShards() int { return 1 }
 
@@ -88,18 +74,10 @@ func (s *Binary) ShardStamp(i int) (string, error) { return fileStamp(s.binPath(
 // errShardDisorder aborts a merge whose input shards are not sorted.
 var errShardDisorder = errors.New("store: shard is not in domain order")
 
-// shardIterStore is the internal seam sortedScan merges through; all
+// shardIterStore is the internal seam sortedScan merges through; both
 // shipped backends implement it.
 type shardIterStore interface {
 	shardIters() ([]iter[Record], error)
-}
-
-func (s *JSONL) shardIters() ([]iter[Record], error) {
-	it, err := openJSONLIter(s.path, false)
-	if err != nil {
-		return nil, err
-	}
-	return []iter[Record]{it}, nil
 }
 
 // memIter pulls records off a snapshot of the in-memory store.

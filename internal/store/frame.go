@@ -173,7 +173,7 @@ func (it *frameIter[T]) next() (*T, bool, error) {
 }
 
 func (it *frameIter[T]) refuse(what string) error {
-	return fmt.Errorf("store: %s: %s at offset %d: %w (run `aipan debug repair` to truncate to the last good record)",
+	return fmt.Errorf("store: %s: %s at offset %d: %w (run `aipan debug repair <dir>`, or `aipan debug repair --events <dir>` for a flight-recorder log, to truncate to the last good record)",
 		it.path, what, it.off, ErrTruncated)
 }
 

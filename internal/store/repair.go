@@ -1,10 +1,8 @@
 package store
 
 import (
-	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 )
 
 // This file is the truncate-to-last-good recovery path behind the
@@ -15,25 +13,17 @@ import (
 // mid-file corruption are dropped with it — a record beyond bytes the
 // store cannot vouch for is not trustworthy either.
 
-// Repair repairs the store at path for a CLI spec (the same specs
-// OpenSpec takes), returning the number of bytes truncated. A missing
-// file repairs as a no-op; "mem" has nothing to repair.
-func Repair(spec, path string) (dropped int64, err error) {
-	switch spec {
-	case "", "jsonl":
-		return repairJSONL(path)
-	case "mem":
-		return 0, errors.New("store: the in-memory backend has nothing to repair")
-	}
-	n, err := binaryShards(spec)
+// Repair truncates every shard of the binary store in dir — the shard
+// count read from its meta.json stamp, as OpenBinaryDir reads it — back
+// to its last good frame, returning the bytes truncated.
+func Repair(dir string) (int64, error) {
+	n, err := stampedShards(dir)
 	if err != nil {
 		return 0, err
 	}
 	total := int64(0)
 	for i := 0; i < n; i++ {
-		d, err := repairBinaryShard(
-			filepath.Join(path, fmt.Sprintf("seg-%02d.bin", i)),
-			filepath.Join(path, fmt.Sprintf("seg-%02d.idx", i)))
+		d, err := repairBinaryShard(segPath(dir, i, "bin"), segPath(dir, i, "idx"))
 		if err != nil {
 			return total, err
 		}
@@ -59,33 +49,6 @@ func RepairEventDir(dir string) (int64, error) {
 		total += d
 	}
 	return total, nil
-}
-
-// repairJSONL truncates a JSONL file back to the end of its last
-// newline-terminated line that parses, dropping everything after.
-func repairJSONL(path string) (int64, error) {
-	it, err := openJSONLIter(path, false)
-	if err != nil {
-		return 0, err
-	}
-	if err := drain(it, func(*Record) error { return nil }); err != nil && !it.bad {
-		return 0, err
-	}
-	if it.f == nil {
-		return 0, nil // missing file
-	}
-	st, err := os.Stat(path)
-	if err != nil {
-		return 0, fmt.Errorf("store: statting %s: %w", path, err)
-	}
-	dropped := st.Size() - it.good
-	if dropped <= 0 {
-		return 0, nil
-	}
-	if err := os.Truncate(path, it.good); err != nil {
-		return 0, fmt.Errorf("store: truncating %s: %w", path, err)
-	}
-	return dropped, nil
 }
 
 // repairBinaryShard truncates a segment file back to the end of its

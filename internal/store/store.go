@@ -6,6 +6,7 @@ package store
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -96,18 +97,30 @@ func WriteJSONL(path string, records []Record) error {
 	})
 }
 
-// ReadJSONL loads a dataset written by WriteJSONL.
+// ReadJSONL loads a dataset written by WriteJSONL. A line that does not
+// parse fails the read with an error naming the file and line.
 func ReadJSONL(path string) ([]Record, error) {
-	it, err := openJSONLIter(path, true)
+	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("store: opening %s: %w", path, err)
 	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
 	var out []Record
-	if err := drain(it, func(r *Record) error {
-		out = append(out, *r)
-		return nil
-	}); err != nil {
-		return nil, err
+	for lineNo := 1; sc.Scan(); lineNo++ {
+		line := sc.Bytes()
+		if len(bytes.TrimSpace(line)) == 0 {
+			continue
+		}
+		var rec Record
+		if err := json.Unmarshal(line, &rec); err != nil {
+			return nil, fmt.Errorf("store: %s line %d: %w", path, lineNo, err)
+		}
+		out = append(out, rec)
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("store: reading %s: %w", path, err)
 	}
 	return out, nil
 }

@@ -171,4 +171,36 @@ cmp "$smokedir/dist-single.jsonl" "$smokedir/dist-merged.jsonl" \
   || { echo "FAIL: distributed export differs from single-process export"; exit 1; }
 echo "distributed smoke: $dist_limit domains merged byte-identical across kill + reassignment"
 
+echo "==> kill-and-resume smoke (default checkpoint SIGKILLed mid-run, repaired, resumed)"
+# A run into the default checkpoint (binary:1) is SIGKILLed once its
+# segment holds records, likely mid-append. `debug repair` finds the
+# shard count in the checkpoint's own stamp and cuts any torn frame; the
+# rerun must resume from what was durable and export exactly the plain
+# run's bytes (the distributed smoke's single-process reference).
+kill_ck="$smokedir/kill-ck"
+"$smokedir/aipan" run --limit "$dist_limit" --checkpoint "$kill_ck" \
+  --out "$smokedir/kill-first.jsonl" >/dev/null 2>&1 &
+kill_pid=$!
+for _ in $(seq 1 300); do
+  [ -s "$kill_ck/seg-00.bin" ] && break
+  sleep 0.05
+done
+sleep 0.2
+kill -9 "$kill_pid" 2>/dev/null || true
+wait "$kill_pid" 2>/dev/null || true
+[ -s "$kill_ck/seg-00.bin" ] || { echo "FAIL: the killed run left no records in its checkpoint"; exit 1; }
+repaired=$("$smokedir/aipan" debug repair "$kill_ck") \
+  || { echo "FAIL: debug repair of the killed checkpoint failed"; exit 1; }
+"$smokedir/aipan" run --limit "$dist_limit" --checkpoint "$kill_ck" --log-level info \
+  --out "$smokedir/kill-resumed.jsonl" >/dev/null 2>"$smokedir/kill-resume.log" \
+  || { echo "FAIL: resuming the repaired checkpoint failed"; cat "$smokedir/kill-resume.log"; exit 1; }
+resumed=$(sed -n 's/.*msg="run starting".* resumed=\([0-9]*\).*/\1/p' "$smokedir/kill-resume.log")
+if [ -z "$resumed" ] || [ "$resumed" -lt 1 ]; then
+  echo "FAIL: the rerun resumed ${resumed:-no} domains from the killed checkpoint, want at least 1"
+  exit 1
+fi
+cmp "$smokedir/dist-single.jsonl" "$smokedir/kill-resumed.jsonl" \
+  || { echo "FAIL: resumed export differs from the plain run's"; exit 1; }
+echo "kill-and-resume smoke: $repaired; resumed $resumed of $dist_limit domains, export byte-identical"
+
 echo "OK: all tier-1 checks passed"
