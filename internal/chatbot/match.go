@@ -23,9 +23,10 @@ func tokenize(line string) []tokenPos {
 }
 
 // tokenizeInto appends line's tokens to out — per-line loops pass a reused
-// scratch slice (out[:0]) so the token buffer is allocated once per task
-// instead of once per line. Nothing downstream retains the slice: matchers
-// and span wideners only read it within the line's iteration.
+// scratch slice (out[:0]), taken from tokenBufs once per request, so the
+// token buffer is not allocated per line or per request. Nothing
+// downstream retains the slice: matchers and span wideners only read it
+// within the line's iteration.
 func tokenizeInto(out []tokenPos, line string) []tokenPos {
 	i := 0
 	for i < len(line) {

@@ -355,7 +355,8 @@ func (s *Sim) classifyBody(text, low string, toks []tokenPos) []string {
 func (s *Sim) labelLines(input string, headingsOnly bool) []LineLabels {
 	lines := parseNumbered(input)
 	out := make([]LineLabels, 0, len(lines))
-	var scratch []tokenPos
+	buf := tokenBufs.Get().(*[]tokenPos)
+	scratch := *buf
 	for _, l := range lines {
 		var labels []string
 		if headingsOnly {
@@ -370,7 +371,23 @@ func (s *Sim) labelLines(input string, headingsOnly bool) []LineLabels {
 		}
 		out = append(out, LineLabels{Line: l.n, Labels: labels})
 	}
+	putTokenBuf(buf, scratch)
 	return out
+}
+
+// tokenBufs pools the token buffer each labeling and extraction request
+// tokenizes its lines into, so a request starts from a grown buffer
+// instead of doubling one up from nil. Holds *[]tokenPos.
+var tokenBufs = sync.Pool{New: func() any { return new([]tokenPos) }}
+
+// putTokenBuf returns a request's token buffer to the pool, keeping
+// scratch's backing array. Every entry is cleared first, so a pooled
+// buffer does not keep the last request's text alive.
+func putTokenBuf(buf *[]tokenPos, scratch []tokenPos) {
+	scratch = scratch[:cap(scratch)]
+	clear(scratch)
+	*buf = scratch[:0]
+	tokenBufs.Put(buf)
 }
 
 // unionLabels merges label sets, dropping "other" unless it is all there is.
@@ -410,11 +427,14 @@ func hasCollectionContext(low string) bool {
 
 func (s *Sim) extractTypes(input string) []Extraction {
 	var out []Extraction
-	var scratch []tokenPos
+	buf := tokenBufs.Get().(*[]tokenPos)
+	scratch := *buf
+	var neg nlp.NegationScope
 	for _, l := range parseNumbered(input) {
 		low := strings.ToLower(l.text)
 		scratch = tokenizeInto(scratch[:0], l.text)
 		toks := scratch
+		neg.Reset(l.text)
 		spans := s.typeMatcher.findToks(l.text, toks)
 		if s.profile.NoveltyZeal > 0 && hasCollectionContext(low) {
 			for _, np := range findNovelNounPhrases(l.text, toks, spans) {
@@ -424,7 +444,7 @@ func (s *Sim) extractTypes(input string) []Extraction {
 			}
 		}
 		for _, sp := range spans {
-			if s.skipMention(l, sp) {
+			if s.skipMention(&neg, l, sp) {
 				continue
 			}
 			text := sp.text
@@ -444,28 +464,33 @@ func (s *Sim) extractTypes(input string) []Extraction {
 			}
 		}
 	}
+	putTokenBuf(buf, scratch)
 	return out
 }
 
 func (s *Sim) extractPurposes(input string) []Extraction {
 	var out []Extraction
-	var scratch []tokenPos
+	buf := tokenBufs.Get().(*[]tokenPos)
+	scratch := *buf
+	var neg nlp.NegationScope
 	for _, l := range parseNumbered(input) {
 		scratch = tokenizeInto(scratch[:0], l.text)
+		neg.Reset(l.text)
 		for _, sp := range s.purposeMatcher.findToks(l.text, scratch) {
-			if s.skipMention(l, sp) {
+			if s.skipMention(&neg, l, sp) {
 				continue
 			}
 			out = append(out, Extraction{Line: l.n, Text: sp.text})
 		}
 	}
+	putTokenBuf(buf, scratch)
 	return out
 }
 
-// skipMention applies the negation instruction and the miss rate.
-func (s *Sim) skipMention(l numLine, sp matchSpan) bool {
-	sentence := nlp.SentenceOf(l.text, sp.text)
-	if nlp.IsNegatedMention(sentence, sp.text) {
+// skipMention applies the negation instruction and the miss rate; neg is
+// the negation scope of l's text, which every mention on the line shares.
+func (s *Sim) skipMention(neg *nlp.NegationScope, l numLine, sp matchSpan) bool {
+	if neg.Negated(sp.text) {
 		// Instruction-faithful models skip; weak models extract anyway with
 		// probability NegationErrorRate.
 		if s.decideLine("neg", l.n, sp.text) >= s.profile.NegationErrorRate {
@@ -532,27 +557,31 @@ func (s *Sim) labelHandling(input string) []LabeledMention {
 	var out []LabeledMention
 	for _, l := range parseNumbered(input) {
 		low := strings.ToLower(l.text)
-		// Retention: a parsed duration beats the unspecific labels.
-		if p, ok := nlp.ParseRetention(l.text); ok && retentionMatcher().any(low) {
-			if s.decideLine("hmiss", l.n, "stated") >= s.profile.MissRate {
-				out = append(out, LabeledMention{
-					Line: l.n, Group: taxonomy.GroupRetention,
-					Label: taxonomy.RetentionStated, Text: statedVerbatim(l.text, p.Raw),
-				})
-			}
-		} else {
-			for _, m := range retentionMatcher().match(low) {
-				if m.Label == taxonomy.RetentionStated {
-					continue // anchors alone don't make a stated period
+		// Retention: a parsed duration beats the unspecific labels. Both
+		// need a retention cue on the line, so only a line with one is
+		// parsed for a duration.
+		if retentionMatcher().any(low) {
+			if p, ok := nlp.ParseRetention(l.text); ok {
+				if s.decideLine("hmiss", l.n, "stated") >= s.profile.MissRate {
+					out = append(out, LabeledMention{
+						Line: l.n, Group: taxonomy.GroupRetention,
+						Label: taxonomy.RetentionStated, Text: statedVerbatim(l.text, p.Raw),
+					})
 				}
-				if s.decideLine("hmiss", l.n, m.Label) < s.profile.MissRate {
-					continue
+			} else {
+				for _, m := range retentionMatcher().match(low) {
+					if m.Label == taxonomy.RetentionStated {
+						continue // anchors alone don't make a stated period
+					}
+					if s.decideLine("hmiss", l.n, m.Label) < s.profile.MissRate {
+						continue
+					}
+					out = append(out, LabeledMention{
+						Line: l.n, Group: taxonomy.GroupRetention,
+						Label: m.Label, Text: verbatim(l.text, low, m.Cue),
+					})
+					break // one retention label per line
 				}
-				out = append(out, LabeledMention{
-					Line: l.n, Group: taxonomy.GroupRetention,
-					Label: m.Label, Text: verbatim(l.text, low, m.Cue),
-				})
-				break // one retention label per line
 			}
 		}
 		for _, m := range protectionMatcher().match(low) {

@@ -473,7 +473,7 @@ func (c *Crawler) postProcess(res *Result, trees []*htmlx.Node) {
 			tree = htmlx.Parse(p.Body)
 		}
 		doc := textify.Render(tree)
-		if text := doc.Text(); strings.TrimSpace(text) != "" && !langid.IsEnglish(text) {
+		if !blankOrEnglish(doc) {
 			res.NonEnglish++
 			continue
 		}
@@ -481,6 +481,25 @@ func (c *Crawler) postProcess(res *Result, trees []*htmlx.Node) {
 		pp.Doc = doc
 		res.PrivacyPages = append(res.PrivacyPages, pp)
 	}
+}
+
+// blankOrEnglish is pre-processing's language check: a page passes when
+// its text is blank or detected as English. Non-English pages, and
+// pages mixing languages, score poorly for English and are discarded
+// (the paper discards one mixed-language policy in §4). The lines are
+// scored in turn, which scores exactly the tokens of the text they join
+// into, without joining them.
+func blankOrEnglish(doc *textify.Document) bool {
+	blank := true
+	var sc langid.Scorer
+	for _, l := range doc.Lines {
+		if blank && strings.TrimSpace(l.Text) != "" {
+			blank = false
+		}
+		sc.Add(l.Text)
+	}
+	lang, _ := sc.Result()
+	return blank || lang == langid.English
 }
 
 // fetchPage performs one GET under a fetch span, whose path attribute

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"aipan/internal/langid"
 	"aipan/internal/russell"
 	"aipan/internal/textify"
 	"aipan/internal/virtualweb"
@@ -190,6 +191,43 @@ func TestPrivacyPagesCarryTheirRendering(t *testing.T) {
 		if pages == 0 {
 			t.Fatalf("SkipTopLinks=%v: no privacy pages crawled", cfg.SkipTopLinks)
 		}
+	}
+}
+
+// TestBlankOrEnglishMatchesJoinedText: the line-wise language check
+// keeps exactly the pages the check on the joined text kept — a blank
+// text, or one langid detects as English — on every page of the first
+// site of each class and on blank renderings.
+func TestBlankOrEnglishMatchesJoinedText(t *testing.T) {
+	g := webgen.New(webgen.Seed, russell.UniqueDomains(russell.Universe(webgen.Seed)))
+	docs := []*textify.Document{
+		{}, {Lines: []textify.Line{{Text: ""}}}, {Lines: []textify.Line{{Text: " "}, {Text: "\t"}}},
+		{Lines: []textify.Line{{Text: "   "}, {Text: "ok"}}},
+	}
+	seen := map[webgen.FailureClass]bool{}
+	for _, s := range g.Sites() {
+		if seen[s.Failure] {
+			continue
+		}
+		seen[s.Failure] = true
+		for _, p := range g.RenderSite(s.Domain) {
+			docs = append(docs, textify.RenderHTML(p.Body))
+		}
+	}
+	kept := 0
+	for _, doc := range docs {
+		text := doc.Text()
+		lang, _ := langid.Detect(text)
+		want := strings.TrimSpace(text) == "" || lang == langid.English
+		if got := blankOrEnglish(doc); got != want {
+			t.Errorf("blankOrEnglish = %v, joined-text check %v, on %.60q", got, want, text)
+		}
+		if want {
+			kept++
+		}
+	}
+	if kept == 0 || kept == len(docs) {
+		t.Errorf("%d of %d pages kept, want some of each verdict", kept, len(docs))
 	}
 }
 

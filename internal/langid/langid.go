@@ -8,6 +8,8 @@ package langid
 import (
 	"unicode"
 	"unicode/utf8"
+
+	"aipan/internal/nlp"
 )
 
 // Lang is an ISO-639-1 language code.
@@ -62,21 +64,40 @@ var profileMask = func() map[string]uint8 {
 	return m
 }()
 
+// maxTokens caps how many tokens of a text are scored.
+const maxTokens = 4000
+
 // Detect returns the best-scoring language and its score (fraction of
 // tokens found in that language's stopword profile). Texts under 5 tokens
-// or with no stopword hits return Unknown.
+// or with no stopword hits return Unknown. It is a Scorer's one-piece
+// case.
+func Detect(text string) (Lang, float64) {
+	var sc Scorer
+	sc.Add(text)
+	return sc.Result()
+}
+
+// Scorer scores a text that arrives in pieces — a rendered page, line by
+// line — exactly as Detect scores the pieces joined by any separator
+// that is not a letter ("\n" among them): no token spans a separator, so
+// the tokens and the shared 4,000-token budget are the same. The zero
+// value is an empty text.
 //
 // Tokens are scored as they are produced — the detector runs on every
 // fetched page, and materializing a token slice per page was one of the
-// crawl path's largest allocation sources. Mixed-case tokens are lowercased
-// into a reused scratch buffer; the map probe via string(scratch) compiles
-// to a lookup without a string copy.
-func Detect(text string) (Lang, float64) {
-	var hits [len(langOrder)]int
-	total := 0
-	var scratch []byte
-	for i := 0; i < len(text) && total < 4000; {
-		r, sz := decodeRuneAt(text, i)
+// crawl path's largest allocation sources. Mixed-case tokens are
+// lowercased into a reused scratch buffer; the map probe via
+// string(scratch) compiles to a lookup without a string copy.
+type Scorer struct {
+	hits    [len(langOrder)]int
+	total   int
+	scratch []byte
+}
+
+// Add scores the tokens of piece until the text's token budget is spent.
+func (sc *Scorer) Add(piece string) {
+	for i := 0; i < len(piece) && sc.total < maxTokens; {
+		r, sz := nlp.DecodeRuneAt(piece, i)
 		if !unicode.IsLetter(r) {
 			i += sz
 			continue
@@ -84,8 +105,8 @@ func Detect(text string) (Lang, float64) {
 		start := i
 		needsLower := unicode.ToLower(r) != r
 		i += sz
-		for i < len(text) {
-			r, sz = decodeRuneAt(text, i)
+		for i < len(piece) {
+			r, sz = nlp.DecodeRuneAt(piece, i)
 			if !unicode.IsLetter(r) {
 				break
 			}
@@ -94,25 +115,30 @@ func Detect(text string) (Lang, float64) {
 			}
 			i += sz
 		}
-		tok := text[start:i]
-		total++
+		tok := piece[start:i]
+		sc.total++
 		var mask uint8
 		if needsLower {
-			scratch = appendLower(scratch[:0], tok)
-			mask = profileMask[string(scratch)]
+			sc.scratch = appendLower(sc.scratch[:0], tok)
+			mask = profileMask[string(sc.scratch)]
 		} else {
 			mask = profileMask[tok]
 		}
-		for j := range hits {
-			hits[j] += int(mask >> j & 1)
+		for j := range sc.hits {
+			sc.hits[j] += int(mask >> j & 1)
 		}
 	}
-	if total < 5 {
+}
+
+// Result returns the best-scoring language of the pieces added so far
+// and its score, as Detect defines them.
+func (sc *Scorer) Result() (Lang, float64) {
+	if sc.total < 5 {
 		return Unknown, 0
 	}
 	best, bestScore := Unknown, 0.0
 	for j, l := range langOrder {
-		score := float64(hits[j]) / float64(total)
+		score := float64(sc.hits[j]) / float64(sc.total)
 		if score > bestScore {
 			best, bestScore = l, score
 		}
@@ -129,22 +155,4 @@ func appendLower(dst []byte, tok string) []byte {
 		dst = utf8.AppendRune(dst, unicode.ToLower(r))
 	}
 	return dst
-}
-
-// IsEnglish reports whether text is detected as English. This is the
-// predicate the pipeline's pre-processing uses to discard non-English
-// pages (and pages mixing languages, which score poorly for every single
-// profile — the paper discards one such policy in §4).
-func IsEnglish(text string) bool {
-	lang, _ := Detect(text)
-	return lang == English
-}
-
-// decodeRuneAt reads the rune starting at byte i, with a single-byte fast
-// path for ASCII.
-func decodeRuneAt(s string, i int) (rune, int) {
-	if c := s[i]; c < utf8.RuneSelf {
-		return rune(c), 1
-	}
-	return utf8.DecodeRuneInString(s[i:])
 }

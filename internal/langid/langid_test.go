@@ -6,6 +6,7 @@ import (
 	"testing"
 	"unicode"
 
+	"aipan/internal/nlp"
 	"aipan/internal/russell"
 	"aipan/internal/textify"
 	"aipan/internal/webgen"
@@ -49,12 +50,24 @@ func TestDetect(t *testing.T) {
 	}
 }
 
-func TestIsEnglish(t *testing.T) {
-	if !IsEnglish(enText) {
-		t.Error("English text not detected")
+// scoreLines scores lines in turn with one Scorer, as the crawler's
+// language check scores a rendered page.
+func scoreLines(lines []string) (Lang, float64) {
+	var sc Scorer
+	for _, l := range lines {
+		sc.Add(l)
 	}
-	if IsEnglish(deText) || IsEnglish(frText) || IsEnglish(esText) {
-		t.Error("non-English text detected as English")
+	return sc.Result()
+}
+
+func TestScorerIsEnglishLineByLine(t *testing.T) {
+	if lang, _ := scoreLines(strings.Split(enText, "\n")); lang != English {
+		t.Errorf("English text scored line by line = %v", lang)
+	}
+	for _, text := range []string{deText, frText, esText} {
+		if lang, _ := scoreLines(strings.Split(text, "\n")); lang == English {
+			t.Errorf("non-English text scored line by line as English: %.40q", text)
+		}
 	}
 }
 
@@ -111,7 +124,7 @@ func detectFourMaps(text string) (Lang, float64) {
 	total := 0
 	var scratch []byte
 	for i := 0; i < len(text) && total < 4000; {
-		r, sz := decodeRuneAt(text, i)
+		r, sz := nlp.DecodeRuneAt(text, i)
 		if !unicode.IsLetter(r) {
 			i += sz
 			continue
@@ -120,7 +133,7 @@ func detectFourMaps(text string) (Lang, float64) {
 		needsLower := unicode.ToLower(r) != r
 		i += sz
 		for i < len(text) {
-			r, sz = decodeRuneAt(text, i)
+			r, sz = nlp.DecodeRuneAt(text, i)
 			if !unicode.IsLetter(r) {
 				break
 			}
@@ -233,5 +246,76 @@ func TestDetectMatchesFourMapReference(t *testing.T) {
 	}
 	if lang, _ := Detect(german[0]); lang != German {
 		t.Errorf("webgen German page detected as %v", lang)
+	}
+}
+
+// TestScorerMatchesDetectOnPages: scoring a rendered page line by line
+// gives exactly Detect's language and score on the page's joined text —
+// on every page of the first 20 webgen sites and of the first site of
+// each extraction-failure class, on an all-blank page, and on pages
+// whose 4,000th token falls mid-line, before a change of language.
+func TestScorerMatchesDetectOnPages(t *testing.T) {
+	g := webgen.New(webgen.Seed, russell.UniqueDomains(russell.Universe(webgen.Seed)))
+	classes := map[webgen.FailureClass]bool{
+		webgen.FailNonEnglish: true, webgen.FailJSOnly: true, webgen.FailImagePolicy: true,
+		webgen.FailStub: true, webgen.FailPDFOnly: true, webgen.FailVague: true,
+	}
+	var docs [][]string
+	for i, s := range g.Sites() {
+		if i >= 20 && !classes[s.Failure] {
+			continue
+		}
+		delete(classes, s.Failure)
+		pages := g.RenderSite(s.Domain)
+		var paths []string
+		for path := range pages {
+			paths = append(paths, path)
+		}
+		sort.Strings(paths)
+		for _, path := range paths {
+			if body := pages[path].Body; body != "" {
+				doc := textify.RenderHTML(body)
+				lines := make([]string, len(doc.Lines))
+				for k, l := range doc.Lines {
+					lines[k] = l.Text
+				}
+				docs = append(docs, lines)
+			}
+		}
+	}
+	if len(classes) > 0 {
+		t.Fatalf("webgen has no site of classes %v", classes)
+	}
+	docs = append(docs, nil, []string{""}, []string{"", "  ", "\t", ""})
+	// 571 lines of 7 tokens put the 4,000th token third on the next
+	// line; what follows it is German, so only the shared budget keeps
+	// the answer English.
+	var capped []string
+	for range 571 {
+		capped = append(capped, "We collect your data and share it.")
+	}
+	capped = append(capped, "the and of der die das und wir sie ihre")
+	for range 600 {
+		capped = append(capped, "Wir und die Daten der Nutzer sind nicht für das Konto.")
+	}
+	docs = append(docs, capped, append([]string{"Über uns:"}, capped...))
+	var english, other int
+	for _, lines := range docs {
+		gotLang, gotScore := scoreLines(lines)
+		wantLang, wantScore := Detect(strings.Join(lines, "\n"))
+		if gotLang != wantLang || gotScore != wantScore {
+			t.Errorf("line-wise (%v, %v), Detect (%v, %v) on %.60q", gotLang, gotScore, wantLang, wantScore, lines)
+		}
+		if wantLang == English {
+			english++
+		} else {
+			other++
+		}
+	}
+	if english == 0 || other == 0 {
+		t.Errorf("pages cover %d English and %d other verdicts, want both", english, other)
+	}
+	if lang, _ := scoreLines(capped); lang != English {
+		t.Errorf("capped page = %v, want English (the cap falls before the German)", lang)
 	}
 }

@@ -25,6 +25,13 @@ const negScopeLen = 12
 func NegatedPositions(sentence string) ([]string, []bool) {
 	ws := Words(sentence)
 	mask := make([]bool, len(ws))
+	fillNegated(mask, ws)
+	return ws, mask
+}
+
+// fillNegated sets mask[i] to whether ws[i] sits inside a negated scope;
+// mask and ws have equal length.
+func fillNegated(mask []bool, ws []string) {
 	until := -1
 	for i, w := range ws {
 		if scopeBreakers[w] {
@@ -33,11 +40,8 @@ func NegatedPositions(sentence string) ([]string, []bool) {
 		if negationCues[w] {
 			until = i + negScopeLen
 		}
-		if until >= 0 && i <= until && !negationCues[w] {
-			mask[i] = true
-		}
+		mask[i] = until >= 0 && i <= until && !negationCues[w]
 	}
-	return ws, mask
 }
 
 // hypotheticalMarkers flag sentences that describe what a policy does NOT
@@ -58,11 +62,8 @@ var hypotheticalPhrases = []string{
 // (§6: Llama-3.1 "tends to extract data types mentioned in negated
 // contexts").
 func IsNegatedMention(sentence, mention string) bool {
-	low := strings.ToLower(sentence)
-	for _, p := range hypotheticalPhrases {
-		if strings.Contains(low, p) {
-			return true
-		}
+	if hasHypothetical(sentence) {
+		return true
 	}
 	ws, mask := NegatedPositions(sentence)
 	start, end, ok := findIn(ws, mention)
@@ -71,6 +72,18 @@ func IsNegatedMention(sentence, mention string) bool {
 	}
 	for i := start; i < end; i++ {
 		if mask[i] {
+			return true
+		}
+	}
+	return false
+}
+
+// hasHypothetical reports whether s holds a hypothetical phrase, in any
+// case.
+func hasHypothetical(s string) bool {
+	low := strings.ToLower(s)
+	for _, p := range hypotheticalPhrases {
+		if strings.Contains(low, p) {
 			return true
 		}
 	}
@@ -91,6 +104,13 @@ func findIn(ws []string, phrase string) (int, int, bool) {
 	for i, w := range ws {
 		stemmed[i] = Singular(w)
 	}
+	return findStems(stemmed, target)
+}
+
+// findStems is findIn over pre-stemmed words: the first start whose
+// following target words each come at most 3 tokens after the last,
+// as the token span [start, end). target is non-empty.
+func findStems(stemmed, target []string) (int, int, bool) {
 	for i := range stemmed {
 		if stemmed[i] != target[0] {
 			continue

@@ -2,6 +2,7 @@ package nlp
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -59,6 +60,17 @@ func TestSingular(t *testing.T) {
 	for in, want := range cases {
 		if got := Singular(in); got != want {
 			t.Errorf("Singular(%q) = %q, want %q", in, got, want)
+		}
+	}
+}
+
+// TestNoSingularKeysEndInS pins the invariant Singular's shortcut rests
+// on: a word not ending in 's' can only change through irregularPlurals,
+// because every noSingular entry ends in 's'.
+func TestNoSingularKeysEndInS(t *testing.T) {
+	for w := range noSingular {
+		if !strings.HasSuffix(w, "s") {
+			t.Errorf("noSingular entry %q does not end in 's'; Singular's shortcut would skip it", w)
 		}
 	}
 }

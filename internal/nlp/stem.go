@@ -23,7 +23,9 @@ var irregularPlurals = map[string]string{
 	"sses":     "sses",
 }
 
-// noSingular lists words ending in 's' that are not plurals.
+// noSingular lists words ending in 's' that are not plurals. Singular's
+// shortcut for words not ending in 's' relies on every entry ending in
+// one.
 var noSingular = map[string]bool{
 	"address": true, "business": true, "access": true, "process": true,
 	"wireless": true, "express": true, "analysis": true, "basis": true,
@@ -47,6 +49,12 @@ func Singular(w string) string {
 	}
 	if s, ok := irregularPlurals[w]; ok {
 		return s
+	}
+	if w[len(w)-1] != 's' {
+		// Every noSingular entry and every suffix rule below ends in
+		// 's', so a word that does not, and is no irregular plural, is
+		// its own lemma.
+		return w
 	}
 	if noSingular[w] {
 		return w

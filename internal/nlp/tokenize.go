@@ -27,7 +27,7 @@ func Words(s string) []string {
 // backing slice across calls instead of paying a fresh slice per line.
 func AppendWords(out []string, s string) []string {
 	for i := 0; i < len(s); {
-		r, sz := decodeRuneAt(s, i)
+		r, sz := DecodeRuneAt(s, i)
 		if !isWordRune(r) {
 			i += sz
 			continue
@@ -36,7 +36,7 @@ func AppendWords(out []string, s string) []string {
 		needsCopy := unicode.ToLower(r) != r
 		i += sz
 		for i < len(s) {
-			r, sz = decodeRuneAt(s, i)
+			r, sz = DecodeRuneAt(s, i)
 			if isWordRune(r) {
 				if unicode.ToLower(r) != r {
 					needsCopy = true
@@ -47,7 +47,7 @@ func AppendWords(out []string, s string) []string {
 			// Internal apostrophes/hyphens join a token only when followed
 			// by another word rune.
 			if (r == '\'' || r == '-' || r == '’') && i+sz < len(s) {
-				if nr, _ := decodeRuneAt(s, i+sz); isWordRune(nr) {
+				if nr, _ := DecodeRuneAt(s, i+sz); isWordRune(nr) {
 					if r == '’' {
 						needsCopy = true // rewritten to ASCII '\''
 					}
@@ -66,9 +66,9 @@ func AppendWords(out []string, s string) []string {
 	return out
 }
 
-// decodeRuneAt reads the rune starting at byte i, with a single-byte fast
-// path for ASCII.
-func decodeRuneAt(s string, i int) (rune, int) {
+// DecodeRuneAt reads the rune starting at byte i, with a single-byte fast
+// path for ASCII. textify and langid scan text with it too.
+func DecodeRuneAt(s string, i int) (rune, int) {
 	if c := s[i]; c < utf8.RuneSelf {
 		return rune(c), 1
 	}
@@ -101,7 +101,12 @@ func lowerToken(tok string) string {
 // abbreviation-like splits (single capital letters, "e.g.", "i.e.") intact.
 // Sentences are returned as subslices of s — no per-sentence copies.
 func Sentences(s string) []string {
-	var out []string
+	return appendSentences(nil, s)
+}
+
+// appendSentences appends the sentences of s to out and returns it, so a
+// caller splitting many lines can reuse one slice.
+func appendSentences(out []string, s string) []string {
 	start := 0
 	// The boundary characters are all ASCII, so a byte scan finds exactly
 	// the positions a rune scan would (UTF-8 continuation bytes are ≥ 0x80).
@@ -145,7 +150,7 @@ func isDigitBefore(s string, i int) bool {
 
 // isDigitAt reports whether the rune starting at byte i is a digit.
 func isDigitAt(s string, i int) bool {
-	r, _ := decodeRuneAt(s, i)
+	r, _ := DecodeRuneAt(s, i)
 	return unicode.IsDigit(r)
 }
 

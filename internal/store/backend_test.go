@@ -2,9 +2,12 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -302,5 +305,126 @@ func TestOpenBinaryDirReadsStamp(t *testing.T) {
 		if err := open(); err == nil || !strings.Contains(err.Error(), bare) {
 			t.Fatalf("%s over an unstamped directory = %v, want a refusal naming it", name, err)
 		}
+	}
+}
+
+// dirFiles maps each file name in dir to its bytes.
+func dirFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string][]byte{}
+	for _, e := range ents {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = data
+	}
+	return files
+}
+
+// scanJSON returns every record a Scan yields, JSON-encoded in order.
+func scanJSON(t *testing.T, st Store) []string {
+	t.Helper()
+	var out []string
+	if err := st.Scan(func(r *Record) error {
+		b, err := json.Marshal(r)
+		out = append(out, string(b))
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestOpenBinaryDirWritesNothing: OpenBinaryDir over a checkpoint with
+// one sidecar deleted and one cut mid-entry answers Len, Scan and Get as
+// OpenBinary does on a copy — which rewrites both sidecars — yet leaves
+// the directory's files and bytes exactly as they were, and refuses
+// Append and SetMeta naming the directory.
+func TestOpenBinaryDirWritesNothing(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenBinary(dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := testRecords(10)
+	for i := range recs {
+		if err := st.Append(&recs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.SetMeta(Meta{Seed: 7}); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	if err := os.Remove(filepath.Join(dir, "seg-00.idx")); err != nil {
+		t.Fatal(err)
+	}
+	idx1 := filepath.Join(dir, "seg-01.idx")
+	data, err := os.ReadFile(idx1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(idx1, data[:len(data)-1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := dirFiles(t, dir)
+
+	cp := t.TempDir()
+	for name, data := range before {
+		if err := os.WriteFile(filepath.Join(cp, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ref, err := OpenBinary(cp, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	if _, err := os.Stat(filepath.Join(cp, "seg-00.idx")); err != nil {
+		t.Fatalf("OpenBinary did not rewrite the deleted sidecar: %v", err)
+	}
+
+	ro, err := OpenBinaryDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantN, _ := ref.Len()
+	if n, err := ro.Len(); n != wantN || n != len(recs) || err != nil {
+		t.Errorf("read-only Len = %d (err %v), OpenBinary %d, want %d", n, err, wantN, len(recs))
+	}
+	if got, want := scanJSON(t, ro), scanJSON(t, ref); strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("read-only Scan differs from OpenBinary's:\n%v\n%v", got, want)
+	}
+	for _, r := range recs {
+		got, ok, err := ro.Get(r.Domain)
+		want, _, _ := ref.Get(r.Domain)
+		if !ok || err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("read-only Get(%s) = %+v ok=%v err=%v, want %+v", r.Domain, got, ok, err, want)
+		}
+	}
+	extra := Record{Domain: "late.example.com"}
+	for name, err := range map[string]error{
+		"Append":  ro.Append(&extra),
+		"SetMeta": ro.SetMeta(Meta{Seed: 7}),
+	} {
+		if err == nil || !strings.Contains(err.Error(), dir) {
+			t.Errorf("read-only %s = %v, want a refusal naming %s", name, err, dir)
+		}
+	}
+	if err := ro.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if after := dirFiles(t, dir); !reflect.DeepEqual(after, before) {
+		var names []string
+		for name := range after {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		t.Errorf("OpenBinaryDir changed %s: files now %v", dir, names)
 	}
 }

@@ -23,8 +23,9 @@ import (
 // recovered by scanning the segment's uncovered tail. A tail that is
 // not a well-formed frame refuses the open with ErrTruncated.
 type Binary struct {
-	dir    string
-	shards int
+	dir      string
+	shards   int
+	readOnly bool // opened by OpenBinaryDir: loads, writes nothing
 
 	mu     sync.Mutex
 	bins   []*os.File // lazily opened for append
@@ -48,23 +49,32 @@ type recLoc struct {
 // opened as an empty store, and so is a dir that names a regular file,
 // such as a retired JSONL checkpoint, which is left untouched.
 func OpenBinary(dir string, shards int) (*Binary, error) {
+	return openBinary(dir, shards, false)
+}
+
+// openBinary opens dir as OpenBinary does; read-only, it creates no
+// directory and rewrites no sidecar, keeping what it recovers in memory.
+func openBinary(dir string, shards int, readOnly bool) (*Binary, error) {
 	if err := checkShards(shards); err != nil {
 		return nil, err
 	}
 	if fi, err := os.Stat(dir); err == nil && !fi.IsDir() {
 		return nil, fmt.Errorf("store: %s is a file, not a store directory: JSONL checkpoints are retired, so checkpoint into a directory with binary:N (the file is left as it was)", dir)
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("store: creating segment dir: %w", err)
+	if !readOnly {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return nil, fmt.Errorf("store: creating segment dir: %w", err)
+		}
 	}
 	s := &Binary{
-		dir:    dir,
-		shards: shards,
-		bins:   make([]*os.File, shards),
-		idxs:   make([]*os.File, shards),
-		sizes:  make([]int64, shards),
-		counts: make([]int, shards),
-		index:  map[string]recLoc{},
+		dir:      dir,
+		shards:   shards,
+		readOnly: readOnly,
+		bins:     make([]*os.File, shards),
+		idxs:     make([]*os.File, shards),
+		sizes:    make([]int64, shards),
+		counts:   make([]int, shards),
+		index:    map[string]recLoc{},
 	}
 	if m, ok, err := s.Meta(); err != nil {
 		return nil, err
@@ -85,16 +95,25 @@ func OpenBinary(dir string, shards int) (*Binary, error) {
 	return s, nil
 }
 
-// OpenBinaryDir opens the existing binary store in dir with the shard
-// count its meta.json stamp records. This is the path `aipan serve
-// --data <dir>` reads a checkpoint through; a directory without the
-// stamp is refused, never opened as an empty store.
+// OpenBinaryDir opens the existing binary store in dir read-only, with
+// the shard count its meta.json stamp records. This is the path `aipan
+// serve --data <dir>` reads a checkpoint through; a directory without
+// the stamp is refused, never opened as an empty store. It validates
+// each sidecar and recovers the frames a sidecar misses into the
+// in-memory index exactly as OpenBinary does, but writes nothing to
+// dir: a stale or missing sidecar stays as it is, and Append and
+// SetMeta fail naming dir.
 func OpenBinaryDir(dir string) (*Binary, error) {
 	n, err := stampedShards(dir)
 	if err != nil {
 		return nil, err
 	}
-	return OpenBinary(dir, n)
+	return openBinary(dir, n, true)
+}
+
+// errReadOnly refuses a write to a store opened by OpenBinaryDir.
+func (s *Binary) errReadOnly(op string) error {
+	return fmt.Errorf("store: %s: %s is open read-only", op, s.dir)
 }
 
 // stampedShards reads the shard count from dir's meta.json, refusing a
@@ -199,7 +218,7 @@ func (s *Binary) loadShard(i int) error {
 	}); err != nil {
 		return err
 	}
-	if stale || len(entries) > indexed {
+	if (stale || len(entries) > indexed) && !s.readOnly {
 		if err := writeIdx(s.idxPath(i), entries); err != nil {
 			return err
 		}
@@ -261,6 +280,9 @@ func writeIdx(path string, entries []idxEntry) error {
 // Append frames rec into its domain's segment and records it in the
 // sidecar and the in-memory index.
 func (s *Binary) Append(rec *Record) error {
+	if s.readOnly {
+		return s.errReadOnly("appending " + rec.Domain)
+	}
 	i := s.shardOf(rec.Domain)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -393,6 +415,9 @@ func (s *Binary) Meta() (Meta, bool, error) {
 // SetMeta writes the stamp, always recording the shard count, format,
 // and codec version.
 func (s *Binary) SetMeta(m Meta) error {
+	if s.readOnly {
+		return s.errReadOnly("writing meta.json")
+	}
 	m.Shards = s.shards
 	m.Format = FormatBinary
 	m.Codec = codecVersion

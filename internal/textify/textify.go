@@ -13,6 +13,7 @@ import (
 	"unicode/utf8"
 
 	"aipan/internal/htmlx"
+	"aipan/internal/nlp"
 )
 
 // Line is one rendered line of text with layout metadata.
@@ -111,7 +112,7 @@ func CountFields(s string) int {
 	n := 0
 	inField := false
 	for i := 0; i < len(s); {
-		r, sz := decodeRuneAt(s, i)
+		r, sz := nlp.DecodeRuneAt(s, i)
 		if isSpaceRune(r) {
 			inField = false
 		} else if !inField {
@@ -213,7 +214,7 @@ func (r *renderer) appendText(s string, boldDepth, headingLvl int) {
 func appendCollapsed(dst []byte, s string) ([]byte, bool) {
 	wrote := false
 	for i := 0; i < len(s); {
-		r, sz := decodeRuneAt(s, i)
+		r, sz := nlp.DecodeRuneAt(s, i)
 		if isSpaceRune(r) {
 			i += sz
 			continue
@@ -221,7 +222,7 @@ func appendCollapsed(dst []byte, s string) ([]byte, bool) {
 		start := i
 		i += sz
 		for i < len(s) {
-			r, sz = decodeRuneAt(s, i)
+			r, sz = nlp.DecodeRuneAt(s, i)
 			if isSpaceRune(r) {
 				break
 			}
@@ -234,15 +235,6 @@ func appendCollapsed(dst []byte, s string) ([]byte, bool) {
 		wrote = true
 	}
 	return dst, wrote
-}
-
-// decodeRuneAt reads the rune starting at byte i, with a single-byte fast
-// path for ASCII.
-func decodeRuneAt(s string, i int) (rune, int) {
-	if c := s[i]; c < utf8.RuneSelf {
-		return rune(c), 1
-	}
-	return utf8.DecodeRuneInString(s[i:])
 }
 
 func isSpaceRune(r rune) bool {
