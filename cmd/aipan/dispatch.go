@@ -16,7 +16,6 @@ import (
 	"aipan/internal/dispatch"
 	"aipan/internal/engine"
 	"aipan/internal/obs"
-	"aipan/internal/store"
 )
 
 // runDistributed runs one study as a dispatch job: a coordinator
@@ -38,12 +37,9 @@ func runDistributed(out string, rf runFlags, seed int64, model string, of obsFla
 			"the coordinator merges records only")
 	}
 
-	var st aipan.DatasetStore = store.NewMem()
-	var err error
-	if rf.checkpoint != "" {
-		if st, err = aipan.OpenDatasetStore(rf.storeSpec, rf.checkpoint); err != nil {
-			return err
-		}
+	st, err := rf.openStore()
+	if err != nil {
+		return err
 	}
 	defer st.Close()
 
@@ -133,20 +129,8 @@ func runDistributed(out string, rf runFlags, seed int64, model string, of obsFla
 		return runErr
 	}
 
-	if out != "" {
-		if err := aipan.ExportDataset(out, st); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "wrote merged dataset to %s\n", out)
-	}
-	if rf.csvPrefix != "" {
-		if err := aipan.ExportAnnotationsCSV(rf.csvPrefix+"-annotations.csv", st); err != nil {
-			return err
-		}
-		if err := aipan.ExportDomainsCSV(rf.csvPrefix+"-domains.csv", st); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s-annotations.csv and %s-domains.csv\n", rf.csvPrefix, rf.csvPrefix)
+	if err := rf.export(out, st); err != nil {
+		return err
 	}
 	fmt.Println(aipan.FunnelTable(coord.Funnel()).Render())
 	return nil

@@ -182,6 +182,36 @@ func (rf *runFlags) validate() error {
 	return nil
 }
 
+// openStore opens the store a run streams its records into and exports
+// from: the checkpoint --checkpoint names, or an in-memory store.
+func (rf *runFlags) openStore() (aipan.DatasetStore, error) {
+	if rf.checkpoint == "" {
+		return store.NewMem(), nil
+	}
+	return aipan.OpenDatasetStore(rf.storeSpec, rf.checkpoint)
+}
+
+// export writes the run's dataset to out and, with --csv, both CSVs,
+// all read back from the run's store.
+func (rf *runFlags) export(out string, st aipan.DatasetStore) error {
+	if out != "" {
+		if err := aipan.ExportDataset(out, st); err != nil {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "wrote the dataset to %s\n", out)
+	}
+	if rf.csvPrefix != "" {
+		if err := aipan.ExportAnnotationsCSV(rf.csvPrefix+"-annotations.csv", st); err != nil {
+			return err
+		}
+		if err := aipan.ExportDomainsCSV(rf.csvPrefix+"-domains.csv", st); err != nil {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "wrote %s-annotations.csv and %s-domains.csv\n", rf.csvPrefix, rf.csvPrefix)
+	}
+	return nil
+}
+
 func runPipeline(out string, rf runFlags, seed int64, model string, progress bool, of obsFlags) (*core.Result, *aipan.Pipeline, error) {
 	if err := rf.validate(); err != nil {
 		return nil, nil, err
@@ -194,20 +224,16 @@ func runPipeline(out string, rf runFlags, seed int64, model string, progress boo
 		Seed: seed, Limit: rf.limit, Workers: rf.workers, Bot: bot,
 		UniverseDomains: rf.universe, TelemetryTimings: of.telemetryTimings,
 	}
-	// A checkpoint is the run's store: the run resumes from it, and the
-	// exports below read back through it. It opens before any telemetry
-	// output is created, so a refused checkpoint leaves nothing behind.
-	var st aipan.DatasetStore
-	if rf.checkpoint != "" {
-		if st, err = aipan.OpenDatasetStore(rf.storeSpec, rf.checkpoint); err != nil {
-			return nil, nil, err
-		}
-		defer st.Close()
-		cfg.Store = st
-		// Records live in the store; streaming them into the Result too
-		// would hold the whole dataset in memory for nothing.
-		cfg.DiscardRecords = true
+	// The run streams into its store (resuming from it, if it is a
+	// checkpoint), and the exports below read back through it. It opens
+	// before any telemetry output is created, so a refused checkpoint
+	// leaves nothing behind.
+	st, err := rf.openStore()
+	if err != nil {
+		return nil, nil, err
 	}
+	defer st.Close()
+	cfg.Store = st
 	// Telemetry outputs close after the run so the sorted trace exporter
 	// can write its deterministic file; close errors are surfaced on
 	// stderr rather than failing a run whose dataset already landed.
@@ -270,32 +296,11 @@ func runPipeline(out string, rf runFlags, seed int64, model string, progress boo
 		return nil, nil, err
 	}
 	wall := time.Since(start)
-	if out != "" {
-		if st != nil {
-			if err := aipan.ExportDataset(out, st); err != nil {
-				return nil, nil, err
-			}
-		} else if err := aipan.WriteDataset(out, res.Records); err != nil {
-			return nil, nil, err
-		}
-		fmt.Fprintf(os.Stderr, "wrote %d records to %s\n", res.Funnel.Domains, out)
+	if err := rf.export(out, st); err != nil {
+		return nil, nil, err
 	}
-	if rf.csvPrefix != "" {
-		if st != nil {
-			err = aipan.ExportAnnotationsCSV(rf.csvPrefix+"-annotations.csv", st)
-			if err == nil {
-				err = aipan.ExportDomainsCSV(rf.csvPrefix+"-domains.csv", st)
-			}
-		} else {
-			err = aipan.WriteAnnotationsCSV(rf.csvPrefix+"-annotations.csv", res.Records)
-			if err == nil {
-				err = aipan.WriteDomainsCSV(rf.csvPrefix+"-domains.csv", res.Records)
-			}
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s-annotations.csv and %s-domains.csv\n", rf.csvPrefix, rf.csvPrefix)
+	if mem, ok := st.(*store.Mem); ok {
+		res.Records = mem.Records() // what `all` builds its report from
 	}
 	if rf.statsOut != "" {
 		if err := writeRunStats(rf.statsOut, res.Funnel.Domains, wall); err != nil {

@@ -55,11 +55,11 @@ func TestRunFlagsValidate(t *testing.T) {
 }
 
 // TestRunPipelineExportsMatchAcrossCheckpoints drives the run command's
-// export paths at --limit 8 with --csv: once with no checkpoint (the
-// dataset and CSVs are written from the in-memory records), then with
-// the default checkpoint and a binary:2 one (they are exported back
-// through the store). Every checkpointed run must write the plain run's
-// bytes, and each checkpoint must hold every record.
+// one export path at --limit 8 with --csv: once with no checkpoint (the
+// dataset and CSVs are exported from the run's in-memory store), then
+// with the default checkpoint and a binary:2 one. Every checkpointed run
+// must write the plain run's bytes, and each checkpoint must hold every
+// record.
 func TestRunPipelineExportsMatchAcrossCheckpoints(t *testing.T) {
 	const limit = 8
 	dir := t.TempDir()

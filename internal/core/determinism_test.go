@@ -1,8 +1,8 @@
 package core
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
 	"reflect"
 	"testing"
 )
@@ -90,9 +90,8 @@ func TestCheckpointResumeAfterCancel(t *testing.T) {
 		t.Errorf("resume reprocessed %d domains, want %d", reprocessed, want)
 	}
 
-	// The stitched-together result must match a clean, uninterrupted run.
-	// Records restored from the checkpoint went through a JSON round trip,
-	// so compare marshaled forms rather than in-memory values.
+	// The stitched-together checkpoint must hold exactly a clean,
+	// uninterrupted run's records: its export equals their JSONL.
 	p3, err := New(Config{Limit: limit, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -105,20 +104,11 @@ func TestCheckpointResumeAfterCancel(t *testing.T) {
 		t.Errorf("funnel differs after resume:\n  resumed: %+v\n  clean:   %+v",
 			resumed.Funnel, clean.Funnel)
 	}
-	if len(resumed.Records) != len(clean.Records) {
-		t.Fatalf("record counts differ: %d vs %d", len(resumed.Records), len(clean.Records))
+	if n := len(checkpointRecords(t, ckpt)); n != len(clean.Records) {
+		t.Fatalf("record counts differ: %d vs %d", n, len(clean.Records))
 	}
-	for i := range clean.Records {
-		a, err := json.Marshal(resumed.Records[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := json.Marshal(clean.Records[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(a) != string(b) {
-			t.Errorf("record %d (%s) differs after resume", i, clean.Records[i].Domain)
-		}
+	if got, want := checkpointJSONL(t, ckpt), recordsJSONL(t, clean.Records); !bytes.Equal(got, want) {
+		t.Errorf("checkpoint export differs from a clean run's records after resume (%d vs %d bytes)",
+			len(got), len(want))
 	}
 }

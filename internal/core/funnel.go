@@ -8,22 +8,22 @@ import (
 // FunnelCell is the fixed-size funnel contribution of one domain — the
 // only thing the streaming pipeline retains per record. Cells are
 // position-indexed by the domain's slot in the (sorted) study list, so
-// the end-of-run aggregation visits them in exactly the order the
-// retained-records path visits its record slice and every float sum
-// reduces in the same order, whichever mode produced them. Workers of a
-// distributed run ship cells to the coordinator (snake_case JSON), and
-// the coordinator folds them in study-list order, so the aggregate is
-// identical to a single-process run of the same seed.
+// the end-of-run aggregation visits them in study-list order and every
+// float sum reduces in the same order, whether a record was delivered
+// or resumed. The coordinator of a distributed run derives each
+// accepted record's cell the same way and folds them in study-list
+// order, so the aggregate is identical to a single-process run of the
+// same seed.
 type FunnelCell struct {
-	Pages     float64 `json:"pages"`
-	PrivPages float64 `json:"priv_pages,omitempty"` // meaningful when crawlOK
-	Words     float64 `json:"words,omitempty"`      // meaningful when extractOK
-	CrawlOK   bool    `json:"crawl_ok,omitempty"`
-	WkPolicy  bool    `json:"wk_policy,omitempty"`
-	WkPriv    bool    `json:"wk_priv,omitempty"`
-	ExtractOK bool    `json:"extract_ok,omitempty"`
-	Annotated bool    `json:"annotated,omitempty"`
-	Fallback  bool    `json:"fallback,omitempty"`
+	Pages     float64
+	PrivPages float64 // meaningful when CrawlOK
+	Words     float64 // meaningful when ExtractOK
+	CrawlOK   bool
+	WkPolicy  bool
+	WkPriv    bool
+	ExtractOK bool
+	Annotated bool
+	Fallback  bool
 }
 
 // CellOf reduces one record to its funnel contribution.

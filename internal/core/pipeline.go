@@ -55,11 +55,10 @@ type Config struct {
 	// demand from the seed — so runs of 100k+ domains keep a flat
 	// footprint. The default size is byte-identical to prior releases.
 	UniverseDomains int
-	// DiscardRecords drops the per-domain records from the returned
-	// Result (Result.Records is nil): records stream to Store and the
-	// funnel accumulates incrementally, so a 100k-domain run's memory
-	// stays flat instead of growing with the dataset. Requires a Store
-	// if the records are wanted afterwards.
+	// DiscardRecords has no effect: whether Result.Records comes back
+	// follows from whether a Store was given (see Store).
+	//
+	// Deprecated: the field goes once no caller sets it (ROADMAP item 6).
 	DiscardRecords bool
 	// Crawler overrides crawl policy knobs (Client is filled in by the
 	// pipeline).
@@ -84,7 +83,9 @@ type Config struct {
 	// different seed is refused (the synthetic web, and therefore every
 	// record, is a function of the seed — mixing seeds would silently
 	// corrupt the dataset). The caller keeps ownership: the pipeline
-	// never closes it.
+	// never closes it, and Result.Records is nil — the records are in
+	// the store. Without a Store the run streams into an in-memory store
+	// of its own and Result.Records is read back from it.
 	Store store.Store
 	// Registry receives all pipeline metrics — its own and those of the
 	// crawler, chatbot client, and annotator it builds (default: the
@@ -136,12 +137,11 @@ type Pipeline struct {
 }
 
 // pipeMetrics instruments the orchestration layer: throughput,
-// checkpoint IO, and the end-of-run funnel snapshot. Dispatch backlog
-// and in-flight counts come from the engine stages
+// checkpoint append failures, and the end-of-run funnel snapshot.
+// Dispatch backlog and in-flight counts come from the engine stages
 // (aipan_engine_queue_depth, aipan_engine_inflight).
 type pipeMetrics struct {
 	domains    *obs.Counter
-	ckptWrites *obs.Counter
 	ckptErrors *obs.Counter
 	funnel     *obs.GaugeVec // by stage
 }
@@ -153,8 +153,6 @@ func newPipeMetrics(reg *obs.Registry) *pipeMetrics {
 	return &pipeMetrics{
 		domains: reg.Counter("aipan_pipeline_domains_processed_total",
 			"Domains fully processed (crawl through annotate) this process."),
-		ckptWrites: reg.Counter("aipan_pipeline_checkpoint_writes_total",
-			"Records appended to the checkpoint file."),
 		ckptErrors: reg.Counter("aipan_pipeline_checkpoint_errors_total",
 			"Failed checkpoint appends (also reported as the checkpoint-error progress pseudo-stage)."),
 		funnel: reg.GaugeVec("aipan_funnel",
@@ -198,8 +196,8 @@ type Funnel struct {
 // Result is a completed run.
 type Result struct {
 	// Records holds one record per study domain, in domain order — nil
-	// when the run was configured with DiscardRecords (the records then
-	// live only in the configured store).
+	// when the run streamed into a Config.Store (the records then live
+	// only there).
 	Records []store.Record
 	Funnel  Funnel
 }
@@ -304,15 +302,17 @@ func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
 		}
 		domains = kept
 	}
-	// The streaming pipeline's fixed per-domain state: a funnel cell
-	// (a few dozen bytes) always; the full record only when the caller
-	// wants Result.Records. DiscardRecords is what keeps a 100k-domain
-	// run's memory flat — records then exist only in flight (bounded by
-	// the delivery window) and in the store.
+	// The streaming pipeline's fixed per-domain state is a funnel cell
+	// (a few dozen bytes); records exist only in flight (bounded by the
+	// delivery window) and in the store. Every run streams into one: the
+	// caller's, or an in-memory store of its own whose records become
+	// Result.Records.
 	cells := make([]FunnelCell, len(domains))
-	var records []store.Record
-	if !p.cfg.DiscardRecords {
-		records = make([]store.Record, len(domains))
+	st := p.cfg.Store
+	var own *store.Mem
+	if st == nil {
+		own = store.NewMem()
+		st = own
 	}
 
 	// One tracer per run, reading Config.Clock: every span started below
@@ -360,42 +360,33 @@ func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
 	}
 	defer finish()
 
-	// Storage: records stream into the caller's Store as they complete
-	// and domains already present are skipped.
-	st := p.cfg.Store
-	// Resume bookkeeping is positional: the study list is domain-sorted
-	// (search.ResolveUniverse sorts it), so a binary search maps each
-	// checkpointed record to its slot without holding a map of full
-	// records — the store streams through once and only the cells (and,
-	// in retained mode, the record slots) are kept.
+	// Resume: domains already in the store are skipped. Bookkeeping is
+	// positional: the study list is domain-sorted (search.ResolveUniverse
+	// sorts it), so a binary search maps each stored record to its slot
+	// without holding a map of full records — the store streams through
+	// once and only the cells are kept.
+	if err := p.stampSeed(st); err != nil {
+		return nil, err
+	}
 	processed := make([]bool, len(domains))
 	resumed := 0
-	if st != nil {
-		if err := p.stampSeed(st); err != nil {
-			return nil, err
+	names := make([]string, len(domains))
+	for i := range domains {
+		names[i] = domains[i].Domain
+	}
+	if err := st.Scan(func(r *store.Record) error {
+		i := sort.SearchStrings(names, r.Domain)
+		if i >= len(names) || names[i] != r.Domain {
+			return nil // outside this run's (possibly limited) universe
 		}
-		names := make([]string, len(domains))
-		for i := range domains {
-			names[i] = domains[i].Domain
+		if !processed[i] {
+			resumed++
 		}
-		err := st.Scan(func(r *store.Record) error {
-			i := sort.SearchStrings(names, r.Domain)
-			if i >= len(names) || names[i] != r.Domain {
-				return nil // outside this run's (possibly limited) universe
-			}
-			if !processed[i] {
-				resumed++
-			}
-			processed[i] = true
-			cells[i] = CellOf(r)
-			if records != nil {
-				records[i] = *r
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
+		processed[i] = true
+		cells[i] = CellOf(r)
+		return nil
+	}); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	done = resumed
 	p.log.Info("run starting", "domains", len(domains), "resumed", resumed,
@@ -421,17 +412,14 @@ func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
 		p.cfg.Progress(stage, done, total)
 	}
 	// deliver runs serialized and in submission order (the engine's
-	// ordered-delivery contract), so checkpoint appends land in domain
-	// order regardless of worker count and progress ticks are strictly
+	// ordered-delivery contract), so store appends land in domain order
+	// regardless of worker count and progress ticks are strictly
 	// increasing without extra locking around the store.
 	deliver := func(i int, out domainOutcome, _ error) {
 		rec := &out.rec
 		idx := todoIdx[i]
 		cells[idx] = CellOf(rec)
-		if records != nil {
-			records[idx] = out.rec
-		}
-		if st != nil && ctx.Err() == nil {
+		if ctx.Err() == nil {
 			// Skip the write once the run is canceled: a domain
 			// interrupted mid-processing produces a truncated record
 			// that would poison the checkpoint and be trusted as
@@ -440,8 +428,6 @@ func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
 				p.met.ckptErrors.Inc()
 				p.log.Error("checkpoint append failed", "domain", rec.Domain, "err", err)
 				report("checkpoint-error", 0, 0)
-			} else {
-				p.met.ckptWrites.Inc()
 			}
 		}
 		if p.cfg.Events != nil && ctx.Err() == nil {
@@ -478,8 +464,12 @@ func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
 	}
 	endRun()
 
-	res := &Result{Records: records}
-	res.Funnel = p.funnelFromCells(cells)
+	res := &Result{Funnel: p.funnelFromCells(cells)}
+	if own != nil {
+		// A fresh store resumes nothing and delivery follows submission
+		// order, so its records are already in study order.
+		res.Records = own.Records()
+	}
 	p.met.setFunnel(res.Funnel)
 	p.log.Info("run complete", "domains", len(domains),
 		"crawl_ok", res.Funnel.CrawlOK, "extract_ok", res.Funnel.ExtractOK,
@@ -742,4 +732,4 @@ func (p *Pipeline) processPage(ctx context.Context, page *crawler.Page) pageOutc
 // The Figure 1 / §3.1 / §4 funnel aggregation lives in funnel.go: each
 // record reduces to a fixed-size FunnelCell as it is delivered (or
 // resumed), and funnelFromCells folds the cells in study-list order —
-// identical arithmetic whether records were retained or discarded.
+// identical arithmetic whichever store the records went to.

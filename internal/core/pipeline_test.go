@@ -151,11 +151,16 @@ func TestFunnelUniverseNumbers(t *testing.T) {
 func TestCheckpointResume(t *testing.T) {
 	ckpt := t.TempDir() + "/checkpoint"
 
-	// First run: 12 domains, all written to the checkpoint.
+	// First run: 12 domains, all written to the checkpoint — the run's
+	// records are the checkpoint's, not the Result's.
 	res1, err := runCheckpointed(context.Background(), t, ckpt, Config{Limit: 12, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if res1.Records != nil {
+		t.Errorf("checkpointed run returned %d records, want nil", len(res1.Records))
+	}
+	first := checkpointRecords(t, ckpt)
 
 	// Second run resumes: every domain is already checkpointed, so no
 	// chatbot work happens. The progress callback still fires exactly
@@ -163,39 +168,39 @@ func TestCheckpointResume(t *testing.T) {
 	// progress bars close even when there is nothing left to do.
 	calls := 0
 	var lastDone, lastTotal int
-	res2, err := runCheckpointed(context.Background(), t, ckpt, Config{Limit: 12, Workers: 4,
-		Progress: func(_ string, done, total int) { calls++; lastDone, lastTotal = done, total }})
-	if err != nil {
+	if _, err := runCheckpointed(context.Background(), t, ckpt, Config{Limit: 12, Workers: 4,
+		Progress: func(_ string, done, total int) { calls++; lastDone, lastTotal = done, total }}); err != nil {
 		t.Fatal(err)
 	}
 	if calls != 1 || lastDone != 12 || lastTotal != 12 {
 		t.Errorf("resume progress: %d calls, last (%d, %d), want exactly one (12, 12) terminal tick",
 			calls, lastDone, lastTotal)
 	}
-	if len(res2.Records) != len(res1.Records) {
-		t.Fatalf("record counts differ: %d vs %d", len(res2.Records), len(res1.Records))
+	second := checkpointRecords(t, ckpt)
+	if len(second) != len(first) || len(first) != 12 {
+		t.Fatalf("record counts differ: %d vs %d, want 12", len(second), len(first))
 	}
-	for i := range res1.Records {
-		if res1.Records[i].Domain != res2.Records[i].Domain ||
-			len(res1.Records[i].Annotations) != len(res2.Records[i].Annotations) {
+	for i := range first {
+		if first[i].Domain != second[i].Domain ||
+			len(first[i].Annotations) != len(second[i].Annotations) {
 			t.Errorf("record %d differs after resume", i)
 		}
 	}
 
 	// Third run extends the limit: only the new domains are processed.
 	calls = 0
-	res3, err := runCheckpointed(context.Background(), t, ckpt, Config{Limit: 15, Workers: 4,
-		Progress: func(string, int, int) { calls++ }})
-	if err != nil {
+	if _, err := runCheckpointed(context.Background(), t, ckpt, Config{Limit: 15, Workers: 4,
+		Progress: func(string, int, int) { calls++ }}); err != nil {
 		t.Fatal(err)
 	}
 	if calls != 3 {
 		t.Errorf("extension run processed %d domains, want 3", calls)
 	}
-	if len(res3.Records) != 15 {
-		t.Errorf("records = %d", len(res3.Records))
+	third := checkpointRecords(t, ckpt)
+	if len(third) != 15 {
+		t.Errorf("records = %d", len(third))
 	}
-	for _, rec := range res3.Records {
+	for _, rec := range third {
 		if rec.Domain == "" {
 			t.Error("empty record slipped into resumed results")
 		}

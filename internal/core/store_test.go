@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -30,16 +29,47 @@ func runWithStore(t *testing.T, workers int, st store.Store) *Result {
 	return res
 }
 
-// TestPipelineDeterminismAcrossStoreBackends is the tentpole acceptance
-// bar: Result.Records and the funnel must be identical for every
-// (worker count × store backend) combination — the storage layer and
-// the engine's scheduling must never leak into the dataset.
-func TestPipelineDeterminismAcrossStoreBackends(t *testing.T) {
-	baseline := runWithStore(t, 1, nil)
-	wantRecords, err := json.Marshal(baseline.Records)
+// recordsJSONL returns the bytes WriteJSONL writes for recs.
+func recordsJSONL(t *testing.T, recs []store.Record) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "records.jsonl")
+	if err := store.WriteJSONL(path, recs); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return b
+}
+
+// storeJSONL returns the bytes SaveJSONL exports from st.
+func storeJSONL(t *testing.T, st store.Store) []byte {
+	t.Helper()
+	return exportAll(t, st, filepath.Join(t.TempDir(), "store"))[0]
+}
+
+// checkpointJSONL returns the SaveJSONL export of the binary:1
+// checkpoint in the directory at path.
+func checkpointJSONL(t *testing.T, path string) []byte {
+	t.Helper()
+	st, err := store.OpenBinary(path, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	return storeJSONL(t, st)
+}
+
+// TestPipelineDeterminismAcrossStoreBackends is the tentpole acceptance
+// bar: the records and the funnel must be identical for every
+// (worker count × store backend) combination — the storage layer and
+// the engine's scheduling must never leak into the dataset. A
+// store-backed run's records are its store's: it must export exactly
+// the bytes a store-less run's Result.Records write.
+func TestPipelineDeterminismAcrossStoreBackends(t *testing.T) {
+	baseline := runWithStore(t, 1, nil)
+	wantRecords := recordsJSONL(t, baseline.Records)
 
 	backends := func(t *testing.T) map[string]store.Store {
 		bn, err := store.OpenBinary(t.TempDir()+"/bins", 4)
@@ -55,18 +85,16 @@ func TestPipelineDeterminismAcrossStoreBackends(t *testing.T) {
 				t.Errorf("workers=%d store=%s: funnel differs from baseline:\n  got  %+v\n  want %+v",
 					workers, name, res.Funnel, baseline.Funnel)
 			}
-			got, err := json.Marshal(res.Records)
-			if err != nil {
-				t.Fatal(err)
+			if res.Records != nil {
+				t.Errorf("workers=%d store=%s: Result.Records holds %d records, want nil",
+					workers, name, len(res.Records))
 			}
-			if string(got) != string(wantRecords) {
+			if got := storeJSONL(t, st); !bytes.Equal(got, wantRecords) {
 				t.Errorf("workers=%d store=%s: records differ from baseline", workers, name)
 			}
-			// The store captured every record, and exporting it yields the
-			// same bytes regardless of backend.
-			if n, err := st.Len(); err != nil || n != len(res.Records) {
+			if n, err := st.Len(); err != nil || n != len(baseline.Records) {
 				t.Errorf("workers=%d store=%s: store holds %d records (err=%v), want %d",
-					workers, name, n, err, len(res.Records))
+					workers, name, n, err, len(baseline.Records))
 			}
 			st.Close()
 		}
@@ -133,7 +161,7 @@ func runCheckpointed(ctx context.Context, t *testing.T, path string, cfg Config)
 }
 
 // checkpointRecords reads back every record of the binary:1 checkpoint
-// in the directory at path.
+// in the directory at path, in append order.
 func checkpointRecords(t *testing.T, path string) []store.Record {
 	t.Helper()
 	st, err := store.OpenBinary(path, 1)
@@ -213,6 +241,7 @@ func TestShardedResumeAfterCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := storeJSONL(t, st2)
 	st2.Close()
 	if want := limit - prior; reprocessed != want {
 		t.Errorf("resume reprocessed %d domains, want %d", reprocessed, want)
@@ -230,12 +259,9 @@ func TestShardedResumeAfterCancel(t *testing.T) {
 		t.Errorf("funnel differs after sharded resume:\n  resumed: %+v\n  clean:   %+v",
 			resumed.Funnel, clean.Funnel)
 	}
-	for i := range clean.Records {
-		a, _ := json.Marshal(resumed.Records[i])
-		b, _ := json.Marshal(clean.Records[i])
-		if string(a) != string(b) {
-			t.Errorf("record %d (%s) differs after sharded resume", i, clean.Records[i].Domain)
-		}
+	if want := recordsJSONL(t, clean.Records); !bytes.Equal(got, want) {
+		t.Errorf("sharded store export differs from a clean run's records after resume (%d vs %d bytes)",
+			len(got), len(want))
 	}
 }
 

@@ -1,64 +1,66 @@
 package core
 
 import (
+	"bytes"
 	"context"
-	"os"
-	"path/filepath"
+	"reflect"
 	"testing"
 
 	"aipan/internal/store"
 )
 
-// TestDiscardRecordsMatchesRetained is the constant-memory contract:
-// a DiscardRecords run keeps no record slice, yet its funnel and its
-// store-side export must be byte-identical to a retained run's — the
-// streaming path changes memory shape, never results.
-func TestDiscardRecordsMatchesRetained(t *testing.T) {
-	dir := t.TempDir()
-
-	retainedStore := store.NewMem()
-	retained := runWithStore(t, 8, retainedStore)
-	if retained.Records == nil {
-		t.Fatal("retained run returned no records")
+// TestStoreBackedMatchesStoreless is the one-record-path contract:
+// every run streams into a store. A run without a Store reads
+// Result.Records back from its own, in study order; a run with one
+// returns no records, and its store exports exactly the bytes the
+// store-less run's records write, under the same funnel. The deprecated
+// DiscardRecords changes neither.
+func TestStoreBackedMatchesStoreless(t *testing.T) {
+	run := func(workers int, st store.Store, discard bool) *Result {
+		t.Helper()
+		p, err := New(Config{Limit: 40, Workers: workers, Store: st, DiscardRecords: discard})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := p.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
 
-	discardStore := store.NewMem()
-	p, err := New(Config{Limit: 40, Workers: 2, Store: discardStore, DiscardRecords: true})
-	if err != nil {
-		t.Fatal(err)
+	storeless := run(8, nil, false)
+	if len(storeless.Records) != 40 {
+		t.Fatalf("store-less run returned %d records, want 40", len(storeless.Records))
 	}
-	discarded, err := p.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	for i := 1; i < len(storeless.Records); i++ {
+		if storeless.Records[i-1].Domain >= storeless.Records[i].Domain {
+			t.Fatalf("store-less records out of study order at %d: %s, %s",
+				i, storeless.Records[i-1].Domain, storeless.Records[i].Domain)
+		}
 	}
-
-	if discarded.Records != nil {
-		t.Errorf("DiscardRecords run retained %d records, want nil", len(discarded.Records))
-	}
-	if discarded.Funnel != retained.Funnel {
-		t.Errorf("funnel differs under DiscardRecords:\n  streaming %+v\n  retained  %+v",
-			discarded.Funnel, retained.Funnel)
+	if discarded := run(2, nil, true); !reflect.DeepEqual(discarded, storeless) {
+		t.Error("DiscardRecords changed a store-less run's result")
 	}
 
-	// The store is the dataset: both runs export the same bytes.
-	retPath := filepath.Join(dir, "retained.jsonl")
-	disPath := filepath.Join(dir, "discarded.jsonl")
-	if err := store.SaveJSONL(retPath, retainedStore); err != nil {
-		t.Fatal(err)
-	}
-	if err := store.SaveJSONL(disPath, discardStore); err != nil {
-		t.Fatal(err)
-	}
-	want, err := os.ReadFile(retPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(disPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(want) != string(got) {
-		t.Error("store export differs between retained and DiscardRecords runs")
+	want := recordsJSONL(t, storeless.Records)
+	for _, discard := range []bool{false, true} {
+		st := store.NewMem()
+		res := run(2, st, discard)
+		if res.Records != nil {
+			t.Errorf("DiscardRecords=%v: store-backed run returned %d records, want nil",
+				discard, len(res.Records))
+		}
+		if res.Funnel != storeless.Funnel {
+			t.Errorf("DiscardRecords=%v: funnel differs:\n  store-backed %+v\n  store-less   %+v",
+				discard, res.Funnel, storeless.Funnel)
+		}
+		if got := storeJSONL(t, st); !bytes.Equal(got, want) {
+			t.Errorf("DiscardRecords=%v: store export differs from the store-less run's records", discard)
+		}
+		if !reflect.DeepEqual(st.Records(), storeless.Records) {
+			t.Errorf("DiscardRecords=%v: store records differ from the store-less run's", discard)
+		}
 	}
 }
 
@@ -68,8 +70,7 @@ func TestDiscardRecordsMatchesRetained(t *testing.T) {
 func TestScaledUniverseDeterministic(t *testing.T) {
 	run := func(workers int) *Result {
 		st := store.NewMem()
-		p, err := New(Config{UniverseDomains: 400, Limit: 60, Workers: workers,
-			Store: st, DiscardRecords: true})
+		p, err := New(Config{UniverseDomains: 400, Limit: 60, Workers: workers, Store: st})
 		if err != nil {
 			t.Fatal(err)
 		}

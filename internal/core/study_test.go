@@ -38,7 +38,7 @@ func TestDomainFilterPartition(t *testing.T) {
 	runWith := func(filter func(string) bool) map[string]bool {
 		t.Helper()
 		st := store.NewMem()
-		p, err := New(Config{Limit: limit, Store: st, DiscardRecords: true, DomainFilter: filter})
+		p, err := New(Config{Limit: limit, Store: st, DomainFilter: filter})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -255,9 +255,9 @@ func (c *Coordinator) Wait(ctx context.Context) error {
 	}
 }
 
-// Funnel folds the uploaded cells in study-list order — the identical
-// fold a single-process run performs, so the distributed funnel is
-// byte-for-byte the local one.
+// Funnel folds the merged records' cells in study-list order — the
+// identical fold a single-process run performs, so the distributed
+// funnel is byte-for-byte the local one.
 func (c *Coordinator) Funnel() core.Funnel {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -557,10 +557,6 @@ func (c *Coordinator) v1Records(rec *api.Recorder, ps api.Params, r *http.Reques
 	if err := json.NewDecoder(r.Body).Decode(&batch); err != nil {
 		return nil, api.BadRequestf("record batch body: %v", err)
 	}
-	if len(batch.Cells) != len(batch.Records) {
-		return nil, api.BadRequestf("batch carries %d cells for %d records",
-			len(batch.Cells), len(batch.Records))
-	}
 	// Serialize all uploads before touching any state: the one-slot
 	// limiter is what makes the dedup-check→append window exclusive, so
 	// no two uploads — even for different leases on the same shard
@@ -611,7 +607,7 @@ func (c *Coordinator) v1Records(rec *api.Recorder, ps api.Params, r *http.Reques
 		sh.done[recd.Domain] = true
 		sh.doneN++
 		c.doneTotal++
-		c.cells[recd.Domain] = batch.Cells[i]
+		c.cells[recd.Domain] = core.CellOf(recd)
 		c.mu.Unlock()
 		accepted++
 	}

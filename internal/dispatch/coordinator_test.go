@@ -76,7 +76,7 @@ func referenceRun(t *testing.T, limit int) (map[string]store.Record, []byte) {
 	t.Helper()
 	st := store.NewMem()
 	p, err := core.New(core.Config{
-		Limit: limit, Store: st, DiscardRecords: true, Registry: obs.NewRegistry(),
+		Limit: limit, Store: st, Registry: obs.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -110,9 +110,7 @@ func exportBytes(t *testing.T, st store.Store) []byte {
 func batchFor(recs map[string]store.Record, domains []string) RecordBatch {
 	var b RecordBatch
 	for _, d := range domains {
-		r := recs[d]
-		b.Records = append(b.Records, r)
-		b.Cells = append(b.Cells, core.CellOf(&r))
+		b.Records = append(b.Records, recs[d])
 	}
 	return b
 }
@@ -363,6 +361,64 @@ func TestCoordinatorProtocolSurface(t *testing.T) {
 	}
 	if code, _ := doReq(t, c, http.MethodGet, "/v1/healthz", "", nil, &h); code != 200 || h.Status != "ok" {
 		t.Fatalf("healthz: %d %+v", code, h)
+	}
+}
+
+// TestCoordinatorFunnelIgnoresUploadedCells: a record batch that still
+// carries a "cells" array, here one contradicting every record, is
+// accepted, and the coordinator's funnel is the fold of the cells of the
+// records in its store — the uploaded cells never reach it.
+func TestCoordinatorFunnelIgnoresUploadedCells(t *testing.T) {
+	recs, _ := referenceRun(t, testLimit)
+	parts := shardDomains(testLimit, testShards)
+	c, _, _, st := newTestCoordinator(t)
+	jobID := c.JobID()
+	for range parts {
+		var lr LeaseResponse
+		doReq(t, c, http.MethodPost, "/v1/jobs/"+jobID+"/leases", "", LeaseRequest{Worker: "liar"}, &lr)
+		if lr.Status != LeaseGranted {
+			t.Fatalf("lease %+v, want granted", lr)
+		}
+		g := lr.Grant
+		batch := struct {
+			Records []store.Record   `json:"records"`
+			Cells   []map[string]any `json:"cells"`
+		}{Records: batchFor(recs, parts[g.Shard]).Records}
+		for range batch.Records {
+			batch.Cells = append(batch.Cells, map[string]any{
+				"pages": 999, "priv_pages": 99, "words": 1,
+				"crawl_ok": true, "extract_ok": true, "annotated": false, "fallback": true,
+			})
+		}
+		var up UploadResult
+		if code, _ := doReq(t, c, http.MethodPost,
+			fmt.Sprintf("/v1/jobs/%s/leases/%s/records", jobID, g.LeaseID), g.ETag, batch, &up); code != 200 {
+			t.Fatalf("upload with cells = %d, want 200", code)
+		}
+		if up.Accepted != len(parts[g.Shard]) {
+			t.Fatalf("upload %+v, want %d accepted", up, len(parts[g.Shard]))
+		}
+		if code, _ := doReq(t, c, http.MethodPost,
+			fmt.Sprintf("/v1/jobs/%s/leases/%s/complete", jobID, g.LeaseID), g.ETag, struct{}{}, nil); code != 200 {
+			t.Fatalf("complete = %d", code)
+		}
+	}
+
+	study := core.StudyFor(0, 0, testLimit)
+	slot := map[string]int{}
+	for i, d := range study.Domains {
+		slot[d] = i
+	}
+	cells := make([]core.FunnelCell, len(study.Domains))
+	if err := st.Scan(func(r *store.Record) error {
+		cells[slot[r.Domain]] = core.CellOf(r)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	want := core.FoldFunnel(study.Companies, study.Corrected, cells)
+	if got := c.Funnel(); got != want {
+		t.Fatalf("funnel follows the uploaded cells, not the stored records:\n  got  %+v\n  want %+v", got, want)
 	}
 }
 

@@ -10,13 +10,14 @@ import (
 	"testing"
 	"time"
 
+	"aipan/internal/core"
 	"aipan/internal/obs"
 	"aipan/internal/store"
 )
 
 // runDistributed executes one full distributed job over loopback with n
-// workers and returns the merged store's export bytes.
-func runDistributed(t *testing.T, limit, shards, n int) []byte {
+// workers and returns the finished coordinator and its merged store.
+func runDistributed(t *testing.T, limit, shards, n int) (*Coordinator, *store.Mem) {
 	t.Helper()
 	st := store.NewMem()
 	coord, err := NewCoordinator(CoordinatorConfig{
@@ -58,22 +59,47 @@ func runDistributed(t *testing.T, limit, shards, n int) []byte {
 	if err := coord.Wait(ctx); err != nil {
 		t.Fatalf("coordinator never saw the job finish: %v", err)
 	}
-	return exportBytes(t, st)
+	return coord, st
 }
 
 // TestDistributedByteIdentical is the tentpole's acceptance gate: the
 // same seed exports byte-identical datasets from a single-process run,
-// a one-worker distributed run, and a four-worker distributed run.
+// a one-worker distributed run, and a four-worker distributed run. The
+// coordinator's funnel equals the single-process run's field for field,
+// and so does that of a coordinator reopened over the merged store.
 func TestDistributedByteIdentical(t *testing.T) {
 	const limit, shards = 16, 4
 	_, want := referenceRun(t, limit)
-	if got := runDistributed(t, limit, shards, 1); !bytes.Equal(got, want) {
-		t.Fatalf("1-worker export differs from single-process export (%d vs %d bytes)",
-			len(got), len(want))
+	p, err := core.New(core.Config{Limit: limit, Registry: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := runDistributed(t, limit, shards, 4); !bytes.Equal(got, want) {
-		t.Fatalf("4-worker export differs from single-process export (%d vs %d bytes)",
-			len(got), len(want))
+	res, err := p.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{1, 4} {
+		coord, st := runDistributed(t, limit, shards, n)
+		if got := exportBytes(t, st); !bytes.Equal(got, want) {
+			t.Fatalf("%d-worker export differs from single-process export (%d vs %d bytes)",
+				n, len(got), len(want))
+		}
+		if got := coord.Funnel(); got != res.Funnel {
+			t.Errorf("%d-worker funnel differs from the single-process run's:\n  got  %+v\n  want %+v",
+				n, got, res.Funnel)
+		}
+		reopened, err := NewCoordinator(CoordinatorConfig{
+			Spec:     JobSpec{Limit: limit, Shards: shards},
+			Store:    st,
+			Registry: obs.NewRegistry(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := reopened.Funnel(); got != res.Funnel {
+			t.Errorf("%d-worker merged store reopened: funnel differs from the single-process run's:\n  got  %+v\n  want %+v",
+				n, got, res.Funnel)
+		}
 	}
 }
 

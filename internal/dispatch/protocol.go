@@ -25,10 +25,7 @@
 // nondetflow checker's way and the merged output deterministic.
 package dispatch
 
-import (
-	"aipan/internal/core"
-	"aipan/internal/store"
-)
+import "aipan/internal/store"
 
 // JobSpec pins the run parameters every worker must share. The
 // coordinator echoes it inside each lease grant, so a worker needs no
@@ -131,13 +128,11 @@ type LeaseResponse struct {
 	RetryAfterMillis int64 `json:"retry_after_millis,omitempty"`
 }
 
-// RecordBatch is the POST .../records body: completed records and
-// their funnel cells, index-aligned (cell i belongs to record i's
-// domain). The coordinator slots each cell by domain so the end-of-run
-// funnel folds in study-list order, exactly like a local run.
+// RecordBatch is the POST .../records body: completed records. The
+// coordinator derives each accepted record's funnel cell itself, so
+// the end-of-run funnel always agrees with the merged store.
 type RecordBatch struct {
-	Records []store.Record    `json:"records"`
-	Cells   []core.FunnelCell `json:"cells"`
+	Records []store.Record `json:"records"`
 }
 
 // UploadResult is the POST .../records payload.

@@ -278,7 +278,6 @@ func (w *Worker) runPipeline(ctx context.Context, g *LeaseGrant, up *uploader) e
 		Limit:           spec.Limit,
 		Bot:             bot,
 		Workers:         w.pwork,
-		DiscardRecords:  true,
 		Store:           up,
 		DomainFilter: func(d string) bool {
 			return store.ShardOf(d, spec.Shards) == g.Shard && !done[d]
@@ -296,11 +295,10 @@ func (w *Worker) runPipeline(ctx context.Context, g *LeaseGrant, up *uploader) e
 // ---------------------------------------------------------------- uploader
 
 // uploader is the store.Store the worker's pipeline streams into: it
-// batches completed records (with their funnel cells) and posts each
-// batch under the lease's If-Match fence. A fenced-out upload (412: the
-// lease was reassigned) records the error and cancels the pipeline —
-// there is no point crawling domains whose results the coordinator will
-// refuse.
+// batches completed records and posts each batch under the lease's
+// If-Match fence. A fenced-out upload (412: the lease was reassigned)
+// records the error and cancels the pipeline — there is no point
+// crawling domains whose results the coordinator will refuse.
 type uploader struct {
 	w      *Worker
 	ctx    context.Context
@@ -309,10 +307,9 @@ type uploader struct {
 	grant  *LeaseGrant
 	batch  int
 
-	mu    sync.Mutex
-	recs  []store.Record
-	cells []core.FunnelCell
-	err   error
+	mu   sync.Mutex
+	recs []store.Record
+	err  error
 }
 
 func (u *uploader) Append(r *store.Record) error {
@@ -323,18 +320,15 @@ func (u *uploader) Append(r *store.Record) error {
 		return err
 	}
 	u.recs = append(u.recs, *r)
-	u.cells = append(u.cells, core.CellOf(r))
 	var recs []store.Record
-	var cells []core.FunnelCell
 	if len(u.recs) >= u.batch {
-		recs, cells = u.recs, u.cells
-		u.recs, u.cells = nil, nil
+		recs, u.recs = u.recs, nil
 	}
 	u.mu.Unlock()
 	if recs == nil {
 		return nil
 	}
-	return u.post(recs, cells)
+	return u.post(recs)
 }
 
 // flush uploads whatever the batch buffer still holds.
@@ -345,20 +339,20 @@ func (u *uploader) flush() error {
 		u.mu.Unlock()
 		return err
 	}
-	recs, cells := u.recs, u.cells
-	u.recs, u.cells = nil, nil
+	recs := u.recs
+	u.recs = nil
 	u.mu.Unlock()
 	if len(recs) == 0 {
 		return nil
 	}
-	return u.post(recs, cells)
+	return u.post(recs)
 }
 
-func (u *uploader) post(recs []store.Record, cells []core.FunnelCell) error {
+func (u *uploader) post(recs []store.Record) error {
 	var res UploadResult
 	status, err := u.w.doJSON(u.ctx, http.MethodPost,
 		leasePath(u.jobID, u.grant, "records"), u.grant.ETag,
-		RecordBatch{Records: recs, Cells: cells}, &res)
+		RecordBatch{Records: recs}, &res)
 	if err != nil {
 		if leaseGone(status) {
 			err = fmt.Errorf("upload under %s: %w", u.grant.LeaseID, errLeaseLost)

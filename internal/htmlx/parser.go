@@ -117,8 +117,3 @@ func Parse(src string) *Node {
 	}
 	return doc
 }
-
-// ParseFragment parses src as a fragment (same lenient algorithm as Parse;
-// provided for readability at call sites handling snippets rather than
-// whole documents).
-func ParseFragment(src string) *Node { return Parse(src) }

@@ -75,8 +75,3 @@ func Singular(w string) string {
 	}
 	return w
 }
-
-// EqualStem reports whether two words share a singular lemma.
-func EqualStem(a, b string) bool {
-	return Singular(strings.ToLower(a)) == Singular(strings.ToLower(b))
-}

@@ -3,9 +3,7 @@ package obs
 import (
 	"context"
 	"encoding/binary"
-	"fmt"
 	"hash/fnv"
-	"strconv"
 	"sync/atomic"
 	"time"
 )
@@ -172,17 +170,6 @@ func (t *Tracer) spanID(s *Span) uint64 {
 	return h.Sum64()
 }
 
-// SetAttr appends an attribute to a started span. Attributes set after
-// start do not affect the span's deterministic ID (identity is fixed at
-// StartSpanWith); they do appear in the exported record. Safe on a nil
-// span.
-func (s *Span) SetAttr(key, value string) {
-	if s == nil {
-		return
-	}
-	s.attrs = append(s.attrs, Attr{Key: key, Value: value})
-}
-
 // End records the span's duration into the stage histogram, exports the
 // span if the tracer carries an Exporter, and returns the duration, so
 // callers that report a region's time read it from the span rather than
@@ -223,13 +210,4 @@ func spanIDString(id uint64) string {
 		id >>= 4
 	}
 	return string(b[:])
-}
-
-// ParseSpanID parses a 16-hex-digit span ID back to its uint64 form.
-func ParseSpanID(s string) (uint64, error) {
-	id, err := strconv.ParseUint(s, 16, 64)
-	if err != nil {
-		return 0, fmt.Errorf("obs: invalid span id %q: %w", s, err)
-	}
-	return id, nil
 }

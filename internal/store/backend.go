@@ -52,8 +52,9 @@ type MetaStore interface {
 
 // -------------------------------------------------------------- in-memory
 
-// Mem is the in-memory backend for tests and benchmarks: nothing
-// touches disk, and Scan replays records in append order.
+// Mem is the in-memory backend, the store of every pipeline run
+// without a checkpoint: nothing touches disk, and Scan and Records
+// replay records in append order.
 type Mem struct {
 	mu      sync.RWMutex
 	recs    []Record
@@ -82,6 +83,13 @@ func (s *Mem) Scan(fn func(*Record) error) error {
 		}
 	}
 	return nil
+}
+
+// Records returns a copy of the stored records in append order.
+func (s *Mem) Records() []Record {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return append([]Record(nil), s.recs...)
 }
 
 // Len reports the number of stored records.

@@ -17,6 +17,10 @@ const codecVersion = 1
 // errShortPayload reports a payload that ended mid-field.
 var errShortPayload = errors.New("store: binary record payload truncated")
 
+// minAnnotationBytes is the smallest encoding of one annotation: seven
+// string lengths, two varints and a bool, one byte each.
+const minAnnotationBytes = 10
+
 // appendRecord encodes rec into the compact binary form: a version
 // byte, then every Record field in declaration order — strings as
 // uvarint length + bytes, ints as zigzag varints, bools as one byte,
@@ -99,9 +103,9 @@ func decodeRecord(data []byte, rec *Record) error {
 	rec.AnnotationFallback = d.strings()
 
 	n := d.uvarint()
-	if d.err == nil && n > uint64(len(d.buf)) {
-		// Each annotation needs at least one byte; a count beyond the
-		// remaining payload is a corrupt frame, caught before allocating.
+	if d.err == nil && n > uint64(len(d.buf)/minAnnotationBytes) {
+		// A count the remaining payload cannot hold is a corrupt frame,
+		// refused before allocating n annotations.
 		d.err = errShortPayload
 	}
 	if d.err == nil && n > 0 {

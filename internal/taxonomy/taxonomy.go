@@ -374,16 +374,6 @@ func MetaCategories(cats []Category) []string {
 	return out
 }
 
-// CategoryNames returns all category names sorted.
-func CategoryNames(cats []Category) []string {
-	out := make([]string, len(cats))
-	for i, c := range cats {
-		out[i] = c.Name
-	}
-	sort.Strings(out)
-	return out
-}
-
 // FindCategory returns the category with the given name.
 func FindCategory(cats []Category, name string) (Category, bool) {
 	for _, c := range cats {

@@ -48,12 +48,14 @@ echo "==> go test ./..."
 go test ./...
 
 echo "==> native fuzzing (10s per target)"
-# Each target checks a property against a reference implementation, not
-# just the absence of a crash. go test takes one -fuzz pattern per
-# invocation, so each target runs on its own; a failing input is written
-# under the package's testdata/fuzz/, where plain go test replays it.
-for target in FuzzNegationScope FuzzSingular; do
-  go test -run NONE -fuzz "^${target}\$" -fuzztime 10s ./internal/nlp/
+# Each target checks a property, not just the absence of a crash: the
+# nlp targets against a reference implementation, FuzzDecodeRecord the
+# store codec's round trip and its allocation bound on arbitrary frame
+# payloads. go test takes one -fuzz pattern per invocation, so each
+# package:target pair runs on its own; a failing input is written under
+# the package's testdata/fuzz/, where plain go test replays it.
+for spec in nlp:FuzzNegationScope nlp:FuzzSingular store:FuzzDecodeRecord; do
+  go test -run NONE -fuzz "^${spec#*:}\$" -fuzztime 10s "./internal/${spec%%:*}/"
 done
 
 echo "==> perfbench: go vet + go test (the benchmark harness's own module)"
