@@ -186,30 +186,38 @@ type numLine struct {
 	text string
 }
 
-// parseNumbered reads "[n] text" lines; unnumbered lines get sequential
-// numbers (the normalize tasks pass bare mention lists).
-func parseNumbered(input string) []numLine {
-	var out []numLine
-	next := 1
-	for _, raw := range strings.Split(input, "\n") {
-		line := strings.TrimSpace(raw)
+// numberedLines scans the "[n] text" lines of an input in place, skipping
+// blank ones; an unnumbered line continues from the previous number (the
+// normalize tasks pass bare mention lists).
+type numberedLines struct {
+	rest string
+	cur  numLine
+}
+
+// scan moves to the next line, reporting false at the end of the input.
+func (sc *numberedLines) scan() bool {
+	for sc.rest != "" {
+		line := sc.rest
+		sc.rest = ""
+		if i := strings.IndexByte(line, '\n'); i >= 0 {
+			line, sc.rest = line[:i], line[i+1:]
+		}
+		line = strings.TrimSpace(line)
 		if line == "" {
 			continue
 		}
-		n := next
-		text := line
+		n, text := sc.cur.n+1, line
 		if strings.HasPrefix(line, "[") {
 			if i := strings.IndexByte(line, ']'); i > 1 {
 				if v, err := strconv.Atoi(strings.TrimSpace(line[1:i])); err == nil {
-					n = v
-					text = strings.TrimSpace(line[i+1:])
+					n, text = v, strings.TrimSpace(line[i+1:])
 				}
 			}
 		}
-		out = append(out, numLine{n: n, text: text})
-		next = n + 1
+		sc.cur = numLine{n: n, text: text}
+		return true
 	}
-	return out
+	return false
 }
 
 // fnvHash is an inline FNV-1a accumulator. The sim draws several decisions
@@ -353,11 +361,11 @@ func (s *Sim) classifyBody(text, low string, toks []tokenPos) []string {
 }
 
 func (s *Sim) labelLines(input string, headingsOnly bool) []LineLabels {
-	lines := parseNumbered(input)
-	out := make([]LineLabels, 0, len(lines))
+	out := make([]LineLabels, 0, strings.Count(input, "\n")+1)
 	buf := tokenBufs.Get().(*[]tokenPos)
 	scratch := *buf
-	for _, l := range lines {
+	for sc := (numberedLines{rest: input}); sc.scan(); {
+		l := sc.cur
 		var labels []string
 		if headingsOnly {
 			labels = s.classifyHeading(l.text)
@@ -430,7 +438,8 @@ func (s *Sim) extractTypes(input string) []Extraction {
 	buf := tokenBufs.Get().(*[]tokenPos)
 	scratch := *buf
 	var neg nlp.NegationScope
-	for _, l := range parseNumbered(input) {
+	for sc := (numberedLines{rest: input}); sc.scan(); {
+		l := sc.cur
 		low := strings.ToLower(l.text)
 		scratch = tokenizeInto(scratch[:0], l.text)
 		toks := scratch
@@ -473,7 +482,8 @@ func (s *Sim) extractPurposes(input string) []Extraction {
 	buf := tokenBufs.Get().(*[]tokenPos)
 	scratch := *buf
 	var neg nlp.NegationScope
-	for _, l := range parseNumbered(input) {
+	for sc := (numberedLines{rest: input}); sc.scan(); {
+		l := sc.cur
 		scratch = tokenizeInto(scratch[:0], l.text)
 		neg.Reset(l.text)
 		for _, sp := range s.purposeMatcher.findToks(l.text, scratch) {
@@ -505,7 +515,8 @@ func (s *Sim) skipMention(neg *nlp.NegationScope, l numLine, sp matchSpan) bool 
 
 func (s *Sim) normalize(input string, ix *taxonomy.Index, cats []taxonomy.Category) []Normalization {
 	var out []Normalization
-	for _, l := range parseNumbered(input) {
+	for sc := (numberedLines{rest: input}); sc.scan(); {
+		l := sc.cur
 		mention := l.text
 		m, ok := ix.Lookup(mention)
 		if !ok {
@@ -555,7 +566,8 @@ func verbatim(line, low, cue string) string {
 
 func (s *Sim) labelHandling(input string) []LabeledMention {
 	var out []LabeledMention
-	for _, l := range parseNumbered(input) {
+	for sc := (numberedLines{rest: input}); sc.scan(); {
+		l := sc.cur
 		low := strings.ToLower(l.text)
 		// Retention: a parsed duration beats the unspecific labels. Both
 		// need a retention cue on the line, so only a line with one is
@@ -622,7 +634,8 @@ func statedVerbatim(line, rawWords string) string {
 
 func (s *Sim) labelRights(input string) []LabeledMention {
 	var out []LabeledMention
-	for _, l := range parseNumbered(input) {
+	for sc := (numberedLines{rest: input}); sc.scan(); {
+		l := sc.cur
 		low := strings.ToLower(l.text)
 		for _, m := range choiceMatcher().match(low) {
 			if s.decideLine("cmiss", l.n, m.Label) < s.profile.MissRate {

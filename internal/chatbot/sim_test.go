@@ -359,7 +359,10 @@ func BenchmarkSimExtractTypes(b *testing.B) {
 }
 
 func TestParseNumberedEdgeCases(t *testing.T) {
-	lines := parseNumbered("[3] three\nplain line\n[10]   ten  \n\n[x] bad number\n")
+	var lines []numLine
+	for sc := (numberedLines{rest: "[3] three\nplain line\n[10]   ten  \n\n[x] bad number\n"}); sc.scan(); {
+		lines = append(lines, sc.cur)
+	}
 	if len(lines) != 4 {
 		t.Fatalf("got %d lines: %+v", len(lines), lines)
 	}

@@ -8,8 +8,6 @@ package langid
 import (
 	"unicode"
 	"unicode/utf8"
-
-	"aipan/internal/nlp"
 )
 
 // Lang is an ISO-639-1 language code.
@@ -97,7 +95,10 @@ type Scorer struct {
 // Add scores the tokens of piece until the text's token budget is spent.
 func (sc *Scorer) Add(piece string) {
 	for i := 0; i < len(piece) && sc.total < maxTokens; {
-		r, sz := nlp.DecodeRuneAt(piece, i)
+		r, sz := rune(piece[i]), 1
+		if r >= utf8.RuneSelf {
+			r, sz = utf8.DecodeRuneInString(piece[i:])
+		}
 		if !unicode.IsLetter(r) {
 			i += sz
 			continue
@@ -106,7 +107,10 @@ func (sc *Scorer) Add(piece string) {
 		needsLower := unicode.ToLower(r) != r
 		i += sz
 		for i < len(piece) {
-			r, sz = nlp.DecodeRuneAt(piece, i)
+			r, sz = rune(piece[i]), 1
+			if r >= utf8.RuneSelf {
+				r, sz = utf8.DecodeRuneInString(piece[i:])
+			}
 			if !unicode.IsLetter(r) {
 				break
 			}

@@ -18,6 +18,8 @@ func TestWords(t *testing.T) {
 		{"", nil},
 		{"   ", nil},
 		{"a-b- c", []string{"a-b", "c"}},
+		// ASCII, multi-byte runes, a curly apostrophe and invalid UTF-8.
+		{"Café’s naïve\xffDATA — don’t 12€ \xe2\x80x-\xffy", []string{"café's", "naïve", "data", "don't", "12", "x", "y"}},
 	}
 	for _, c := range cases {
 		if got := Words(c.in); !reflect.DeepEqual(got, c.want) {

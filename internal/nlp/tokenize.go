@@ -27,7 +27,10 @@ func Words(s string) []string {
 // backing slice across calls instead of paying a fresh slice per line.
 func AppendWords(out []string, s string) []string {
 	for i := 0; i < len(s); {
-		r, sz := DecodeRuneAt(s, i)
+		r, sz := rune(s[i]), 1
+		if r >= utf8.RuneSelf {
+			r, sz = utf8.DecodeRuneInString(s[i:])
+		}
 		if !isWordRune(r) {
 			i += sz
 			continue
@@ -36,7 +39,10 @@ func AppendWords(out []string, s string) []string {
 		needsCopy := unicode.ToLower(r) != r
 		i += sz
 		for i < len(s) {
-			r, sz = DecodeRuneAt(s, i)
+			r, sz = rune(s[i]), 1
+			if r >= utf8.RuneSelf {
+				r, sz = utf8.DecodeRuneInString(s[i:])
+			}
 			if isWordRune(r) {
 				if unicode.ToLower(r) != r {
 					needsCopy = true
@@ -47,7 +53,11 @@ func AppendWords(out []string, s string) []string {
 			// Internal apostrophes/hyphens join a token only when followed
 			// by another word rune.
 			if (r == '\'' || r == '-' || r == '’') && i+sz < len(s) {
-				if nr, _ := DecodeRuneAt(s, i+sz); isWordRune(nr) {
+				nr := rune(s[i+sz])
+				if nr >= utf8.RuneSelf {
+					nr, _ = utf8.DecodeRuneInString(s[i+sz:])
+				}
+				if isWordRune(nr) {
 					if r == '’' {
 						needsCopy = true // rewritten to ASCII '\''
 					}
@@ -67,7 +77,10 @@ func AppendWords(out []string, s string) []string {
 }
 
 // DecodeRuneAt reads the rune starting at byte i, with a single-byte fast
-// path for ASCII. textify and langid scan text with it too.
+// path for ASCII. It does not inline (its cost is above the compiler's
+// budget), so the per-byte scanners — AppendWords, textify's CountFields
+// and appendCollapsed, langid's Scorer — test for ASCII in line and call
+// utf8.DecodeRuneInString only for a multi-byte rune.
 func DecodeRuneAt(s string, i int) (rune, int) {
 	if c := s[i]; c < utf8.RuneSelf {
 		return rune(c), 1

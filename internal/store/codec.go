@@ -21,6 +21,16 @@ var errShortPayload = errors.New("store: binary record payload truncated")
 // string lengths, two varints and a bool, one byte each.
 const minAnnotationBytes = 10
 
+// The smallest encodings of the fields that follow each string list, one
+// byte per string length, varint, bool and count: after Tickers, Sector
+// and SectorAbbrev, the nine Crawl bytes, the three Extraction bytes and
+// the AnnotationFallback and Annotations counts; after
+// AnnotationFallback, the Annotations count.
+const (
+	minTickersTail  = 16
+	minFallbackTail = 1
+)
+
 // appendRecord encodes rec into the compact binary form: a version
 // byte, then every Record field in declaration order — strings as
 // uvarint length + bytes, ints as zigzag varints, bools as one byte,
@@ -82,7 +92,7 @@ func decodeRecord(data []byte, rec *Record) error {
 	*rec = Record{}
 	rec.Domain = d.string()
 	rec.Company = d.string()
-	rec.Tickers = d.strings()
+	rec.Tickers = d.strings(minTickersTail)
 	rec.Sector = d.string()
 	rec.SectorAbbrev = d.string()
 
@@ -100,7 +110,7 @@ func decodeRecord(data []byte, rec *Record) error {
 	rec.Extraction.UsedFallback = d.bool()
 	rec.Extraction.CoreWords = d.int()
 
-	rec.AnnotationFallback = d.strings()
+	rec.AnnotationFallback = d.strings(minFallbackTail)
 
 	n := d.uvarint()
 	if d.err == nil && n > uint64(len(d.buf)/minAnnotationBytes) {
@@ -222,12 +232,16 @@ func (d *decoder) string() string {
 	return s
 }
 
-func (d *decoder) strings() []string {
+// strings reads a string list followed by fields that take at least tail
+// bytes. Every string takes at least its length byte, so a count the rest
+// of the payload cannot hold is a corrupt frame, refused before the list
+// is allocated.
+func (d *decoder) strings(tail int) []string {
 	n := d.uvarint()
 	if d.err != nil || n == 0 {
 		return nil
 	}
-	if n > uint64(len(d.buf)) {
+	if len(d.buf) < tail || n > uint64(len(d.buf)-tail) {
 		d.err = errShortPayload
 		return nil
 	}

@@ -13,7 +13,6 @@ import (
 	"unicode/utf8"
 
 	"aipan/internal/htmlx"
-	"aipan/internal/nlp"
 )
 
 // Line is one rendered line of text with layout metadata.
@@ -112,7 +111,10 @@ func CountFields(s string) int {
 	n := 0
 	inField := false
 	for i := 0; i < len(s); {
-		r, sz := nlp.DecodeRuneAt(s, i)
+		r, sz := rune(s[i]), 1
+		if r >= utf8.RuneSelf {
+			r, sz = utf8.DecodeRuneInString(s[i:])
+		}
 		if isSpaceRune(r) {
 			inField = false
 		} else if !inField {
@@ -214,7 +216,10 @@ func (r *renderer) appendText(s string, boldDepth, headingLvl int) {
 func appendCollapsed(dst []byte, s string) ([]byte, bool) {
 	wrote := false
 	for i := 0; i < len(s); {
-		r, sz := nlp.DecodeRuneAt(s, i)
+		r, sz := rune(s[i]), 1
+		if r >= utf8.RuneSelf {
+			r, sz = utf8.DecodeRuneInString(s[i:])
+		}
 		if isSpaceRune(r) {
 			i += sz
 			continue
@@ -222,7 +227,10 @@ func appendCollapsed(dst []byte, s string) ([]byte, bool) {
 		start := i
 		i += sz
 		for i < len(s) {
-			r, sz = nlp.DecodeRuneAt(s, i)
+			r, sz = rune(s[i]), 1
+			if r >= utf8.RuneSelf {
+				r, sz = utf8.DecodeRuneInString(s[i:])
+			}
 			if isSpaceRune(r) {
 				break
 			}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 
 	"aipan/internal/taxonomy"
 )
@@ -371,7 +372,7 @@ func (g *Generator) handlingSection(rng *rand.Rand, s *Site) policySection {
 		Aspect:  taxonomy.AspectHandling,
 		Heading: variant(rng, taxonomy.AspectHandling),
 	}
-	groups := taxonomy.AllLabelGroups()
+	groups := labelGroups()
 	for _, pl := range s.Truth.Handling {
 		sec.Paras = append(sec.Paras, labelSentence(rng, groups, pl, s.Domain))
 	}
@@ -384,7 +385,7 @@ func (g *Generator) rightsSection(rng *rand.Rand, s *Site) policySection {
 		Aspect:  taxonomy.AspectRights,
 		Heading: variant(rng, taxonomy.AspectRights),
 	}
-	groups := taxonomy.AllLabelGroups()
+	groups := labelGroups()
 	for _, pl := range s.Truth.Rights {
 		sec.Paras = append(sec.Paras, labelSentence(rng, groups, pl, s.Domain))
 	}
@@ -408,6 +409,11 @@ func (s *Site) hasRight(label string) bool {
 	}
 	return false
 }
+
+// labelGroups holds the Table 1 label groups, which are static literals:
+// taxonomy.AllLabelGroups rebuilds all four label sets, templates and
+// cues included, on every call, and labelSentence only reads them.
+var labelGroups = sync.OnceValue(taxonomy.AllLabelGroups)
 
 // labelSentence renders one practice from its taxonomy templates.
 func labelSentence(rng *rand.Rand, groups map[string][]taxonomy.Label, pl PlantedLabel, domain string) string {
