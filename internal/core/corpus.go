@@ -15,11 +15,11 @@ import (
 // a 50-domain pipeline run — so pipelines sharing a key share one corpus
 // instead of regenerating the sites each.
 //
-// At the paper's default size the web is generated eagerly (the
-// historical, byte-identical path). A scaled universe (Config.
-// UniverseDomains) switches to the lazy generator: only the company
-// roster is materialized, and each domain's site is derived on demand
-// from the seed — which is what keeps a 100k-domain run's memory flat.
+// One builder and one generator serve every size (Config.
+// UniverseDomains). Only the company roster is materialized, and each
+// domain's site is derived on demand from the seed — which is what keeps
+// a 100k-domain run's memory flat — except on the paper's 2,892-domain
+// roster, whose sites webgen.New keeps in a memo.
 type corpus struct {
 	seed      int64
 	size      int // unique domains; 0 = the paper's default universe
@@ -47,26 +47,15 @@ func corpusFor(seed int64, size int) *corpus {
 	if corpusLast != nil && corpusLast.seed == seed && corpusLast.size == size {
 		return corpusLast
 	}
-	var companies []russell.Company
-	if size == 0 {
-		companies = russell.Universe(seed)
-	} else {
-		companies = russell.UniverseSized(seed, size)
-	}
+	companies := russell.UniverseSized(seed, size)
 	res := search.ResolveUniverse(search.NewEngine(companies, seed), companies)
-	var gen *webgen.Generator
-	if size == 0 {
-		gen = webgen.New(seed, res.Domains)
-	} else {
-		gen = webgen.NewLazy(seed, res.Domains)
-	}
 	corpusLast = &corpus{
 		seed:      seed,
 		size:      size,
 		companies: companies,
 		domains:   res.Domains,
 		corrected: res.Corrected,
-		gen:       gen,
+		gen:       webgen.New(seed, res.Domains),
 	}
 	return corpusLast
 }

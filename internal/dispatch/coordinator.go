@@ -44,21 +44,29 @@ type CoordinatorConfig struct {
 
 // shardState is one shard of the partition and, while leased, the
 // lease fencing state. epoch increments on every grant; the ETag
-// derived from it is the fence every mutating request must present.
+// derived from it and the incarnation is the fence every mutating
+// request must present.
 type shardState struct {
-	idx      int
-	domains  []string // this shard's study domains, in study-list order
-	done     map[string]bool
-	doneN    int
-	state    string // ShardPending | ShardLeased | ShardDone
-	leaseID  string
-	worker   string
-	epoch    int
-	lastBeat time.Time
+	idx         int
+	incarnation int
+	domains     []string // this shard's study domains, in study-list order
+	done        map[string]bool
+	doneN       int
+	state       string // ShardPending | ShardLeased | ShardDone
+	leaseID     string
+	worker      string
+	epoch       int
+	lastBeat    time.Time
+}
+
+// lease names the shard's current grant: "i2-s03-e1" is the first
+// grant of shard 3 by the store's second coordinator.
+func (sh *shardState) lease() string {
+	return fmt.Sprintf("i%d-s%02d-e%d", sh.incarnation, sh.idx, sh.epoch)
 }
 
 func (sh *shardState) etag() string {
-	return fmt.Sprintf("\"s%02d-e%d\"", sh.idx, sh.epoch)
+	return "\"" + sh.lease() + "\""
 }
 
 // coordHandler is a dispatch route implementation. It may set response
@@ -165,9 +173,13 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	c.mShards = reg.GaugeVec("aipan_dispatch_shards",
 		"Shards of the current job, by state.", "state")
 
+	incarnation, err := c.stamp()
+	if err != nil {
+		return nil, err
+	}
 	c.shards = make([]*shardState, spec.Shards)
 	for i := range c.shards {
-		c.shards[i] = &shardState{idx: i, state: ShardPending, done: map[string]bool{}}
+		c.shards[i] = &shardState{idx: i, incarnation: incarnation, state: ShardPending, done: map[string]bool{}}
 	}
 	for _, d := range c.study.Domains {
 		i := store.ShardOf(d, spec.Shards)
@@ -175,9 +187,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		c.shards[i].domains = append(c.shards[i].domains, d)
 	}
 
-	if err := c.stampSeed(); err != nil {
-		return nil, err
-	}
 	if err := c.resume(); err != nil {
 		return nil, err
 	}
@@ -197,29 +206,31 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	return c, nil
 }
 
-// stampSeed mirrors the pipeline's checkpoint guard: a seed-stamping
-// store must carry this job's seed, and a stamp from a different seed
-// refuses the job rather than merging two universes.
-func (c *Coordinator) stampSeed() error {
+// stamp mirrors the pipeline's checkpoint guard — a store stamped with
+// another seed refuses the job rather than merging two universes — and,
+// in the same read-modify-write, bumps and returns the store's
+// coordinator incarnation. Every lease carries it, so grants from before
+// a restart over the same store are fenced out. A store that cannot
+// stamp (no MetaStore) keeps incarnation 0.
+func (c *Coordinator) stamp() (int, error) {
 	ms, ok := c.st.(store.MetaStore)
 	if !ok {
-		return nil
+		return 0, nil
 	}
 	m, stamped, err := ms.Meta()
 	if err != nil {
-		return fmt.Errorf("dispatch: reading store meta: %w", err)
+		return 0, fmt.Errorf("dispatch: reading store meta: %w", err)
 	}
 	if stamped && m.Seed != 0 && m.Seed != c.spec.Seed {
-		return fmt.Errorf("dispatch: store is stamped with seed %d, job runs seed %d",
+		return 0, fmt.Errorf("dispatch: store is stamped with seed %d, job runs seed %d",
 			m.Seed, c.spec.Seed)
 	}
-	if !stamped || m.Seed == 0 {
-		m.Seed = c.spec.Seed
-		if err := ms.SetMeta(m); err != nil {
-			return fmt.Errorf("dispatch: stamping store: %w", err)
-		}
+	m.Seed = c.spec.Seed
+	m.Incarnation++
+	if err := ms.SetMeta(m); err != nil {
+		return 0, fmt.Errorf("dispatch: stamping store: %w", err)
 	}
-	return nil
+	return m.Incarnation, nil
 }
 
 // resume folds records already in the store into the done-sets, so a
@@ -484,7 +495,7 @@ func (c *Coordinator) v1Lease(rec *api.Recorder, ps api.Params, r *http.Request)
 		}
 		sh.state = ShardLeased
 		sh.epoch++
-		sh.leaseID = fmt.Sprintf("s%02d-e%d", sh.idx, sh.epoch)
+		sh.leaseID = sh.lease()
 		sh.worker = req.Worker
 		sh.lastBeat = now
 		c.version++

@@ -474,3 +474,58 @@ func TestCoordinatorResume(t *testing.T) {
 		t.Fatalf("resumed export differs from single-process export")
 	}
 }
+
+// TestCoordinatorRestartFencesOldLeases: a coordinator restarted over
+// the same store bumps the store's incarnation and grants leases unlike
+// its predecessor's, so a worker still holding a pre-restart grant is
+// fenced out with 412 stale_lease instead of keeping the new holder's
+// lease alive with its heartbeats.
+func TestCoordinatorRestartFencesOldLeases(t *testing.T) {
+	dir := t.TempDir()
+	open := func(wantIncarnation int) (*Coordinator, *LeaseGrant) {
+		t.Helper()
+		st, err := store.OpenBinary(dir, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { st.Close() })
+		c, err := NewCoordinator(CoordinatorConfig{
+			Spec:     JobSpec{Limit: testLimit, Shards: testShards},
+			Store:    st,
+			LeaseTTL: testTTL,
+			Clock:    newFakeClock().now,
+			Registry: obs.NewRegistry(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m, _, err := st.Meta(); err != nil || m.Incarnation != wantIncarnation {
+			t.Fatalf("store incarnation %d (err %v), want %d", m.Incarnation, err, wantIncarnation)
+		}
+		var lr LeaseResponse
+		if code, _ := doReq(t, c, http.MethodPost, "/v1/jobs/"+c.JobID()+"/leases", "",
+			LeaseRequest{Worker: "w"}, &lr); code != 200 || lr.Status != LeaseGranted {
+			t.Fatalf("lease: code %d resp %+v", code, lr)
+		}
+		return c, lr.Grant
+	}
+	_, g1 := open(1)
+	c2, g2 := open(2)
+	if g2.LeaseID == g1.LeaseID || g2.ETag == g1.ETag {
+		t.Fatalf("restarted coordinator granted lease %s (ETag %s), the same as before the restart (%s, %s)",
+			g2.LeaseID, g2.ETag, g1.LeaseID, g1.ETag)
+	}
+
+	req := httptest.NewRequest(http.MethodPost,
+		fmt.Sprintf("/v1/jobs/%s/leases/%s/heartbeat", c2.JobID(), g1.LeaseID), bytes.NewReader([]byte("{}")))
+	req.Header.Set("If-Match", g1.ETag)
+	rw := httptest.NewRecorder()
+	c2.ServeHTTP(rw, req)
+	if rw.Code != http.StatusPreconditionFailed || !bytes.Contains(rw.Body.Bytes(), []byte("stale_lease")) {
+		t.Fatalf("pre-restart heartbeat = %d %s, want 412 stale_lease", rw.Code, rw.Body.String())
+	}
+	hb := fmt.Sprintf("/v1/jobs/%s/leases/%s/heartbeat", c2.JobID(), g2.LeaseID)
+	if code, _ := doReq(t, c2, http.MethodPost, hb, g2.ETag, struct{}{}, nil); code != 200 {
+		t.Fatalf("current holder's heartbeat = %d, want 200", code)
+	}
+}

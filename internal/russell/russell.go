@@ -107,51 +107,7 @@ var sectorShare = map[string]float64{
 // Universe generates the deterministic synthetic index for a seed.
 // len(result) == NumCompanies; unique domains == NumDomains.
 func Universe(seed int64) []Company {
-	rng := rand.New(rand.NewSource(seed))
-
-	// Allocate per-sector counts over the unique companies.
-	sectors := Sectors()
-	counts := make(map[string]int, len(sectors))
-	total := 0
-	for _, s := range sectors {
-		n := int(sectorShare[s] * NumDomains)
-		counts[s] = n
-		total += n
-	}
-	// Distribute the rounding remainder deterministically.
-	for i := 0; total < NumDomains; i++ {
-		counts[sectors[i%len(sectors)]]++
-		total++
-	}
-
-	gen := newNameGen(rng)
-	var companies []Company
-	for _, s := range sectors {
-		for i := 0; i < counts[s]; i++ {
-			name, ticker, domain := gen.next(s)
-			companies = append(companies, Company{Name: name, Ticker: ticker, Sector: s, Domain: domain})
-		}
-	}
-
-	// Create duplicate listings: extra share classes of existing parents.
-	nDup := NumCompanies - NumDomains
-	for i := 0; i < nDup; i++ {
-		parent := companies[rng.Intn(NumDomains)]
-		// Avoid duplicating the same parent twice.
-		for strings.HasSuffix(parent.Ticker, ".B") || gen.duped[parent.Domain] {
-			parent = companies[rng.Intn(NumDomains)]
-		}
-		gen.duped[parent.Domain] = true
-		dup := parent
-		dup.Ticker = parent.Ticker + ".B"
-		companies = append(companies, dup)
-	}
-
-	// Shuffle deterministically so sectors interleave like a real index.
-	rng.Shuffle(len(companies), func(i, j int) {
-		companies[i], companies[j] = companies[j], companies[i]
-	})
-	return companies
+	return UniverseSized(seed, NumDomains)
 }
 
 // UniqueDomains returns the deduplicated domain list with the owning
@@ -189,9 +145,9 @@ type nameGen struct {
 	tickers map[string]bool
 	domains map[string]bool
 	duped   map[string]bool
-	// sized switches next to the scaled naming path (UniverseSized),
-	// which numbers colliding domains instead of rejecting them; seq and
-	// tickSeq are its per-base collision counters.
+	// sized switches next to the scaled naming path (any universe but
+	// the paper's), which numbers colliding domains instead of rejecting
+	// them; seq and tickSeq are its per-base collision counters.
 	sized   bool
 	seq     map[string]int
 	tickSeq map[string]int

@@ -9,19 +9,19 @@ import (
 )
 
 // UniverseSized generates a synthetic index with numDomains unique
-// domains. numDomains <= 0 or == NumDomains delegates to Universe, so
-// the paper's 2,892-domain universe stays byte-identical. Larger
-// universes extend the index with a long tail: the paper's sector
-// weights describe the large-cap head, but an index stretched toward
-// PrivaSeer scale (100k–1M policies) is dominated by small caps whose
-// sector concentration flattens out — so tail domains are allocated
-// under a flattened (√share-renormalized) sector mix blended with the
-// head mix. Duplicate share-class listings are created at the paper's
-// head rate (24 per 2,892 domains), so len(result) > numDomains by the
-// scaled duplicate count.
+// domains; numDomains <= 0 means the paper's NumDomains, the universe
+// Universe returns. Larger universes extend the index with a long tail:
+// the paper's sector weights describe the large-cap head, but an index
+// stretched toward PrivaSeer scale (100k–1M policies) is dominated by
+// small caps whose sector concentration flattens out — so tail domains
+// are allocated under a flattened (√share-renormalized) sector mix
+// blended with the head mix. Duplicate share-class listings are created
+// at the paper's head rate (24 per 2,892 domains), so len(result) >
+// numDomains by the scaled duplicate count. Every size but the paper's
+// names its companies on the scaled path (nextSized).
 func UniverseSized(seed int64, numDomains int) []Company {
-	if numDomains <= 0 || numDomains == NumDomains {
-		return Universe(seed)
+	if numDomains <= 0 {
+		numDomains = NumDomains
 	}
 	rng := rand.New(rand.NewSource(seed))
 
@@ -29,7 +29,7 @@ func UniverseSized(seed int64, numDomains int) []Company {
 	counts := sectorCountsSized(numDomains)
 
 	gen := newNameGen(rng)
-	gen.sized = true
+	gen.sized = numDomains != NumDomains
 	companies := make([]Company, 0, numDomains)
 	for _, s := range sectors {
 		for i := 0; i < counts[s]; i++ {
@@ -52,6 +52,7 @@ func UniverseSized(seed int64, numDomains int) []Company {
 		companies = append(companies, dup)
 	}
 
+	// Shuffle deterministically so sectors interleave like a real index.
 	rng.Shuffle(len(companies), func(i, j int) {
 		companies[i], companies[j] = companies[j], companies[i]
 	})
@@ -102,8 +103,8 @@ func sectorCountsSized(numDomains int) map[string]int {
 // nextSized is the scaled naming path: the root×flavor namespace holds
 // only a few hundred combinations per sector, so beyond the paper's
 // universe every collision takes a per-base sequence number on both the
-// name and the domain (the default path never numbers domains, which is
-// why Universe caps out — and why this path is kept separate instead of
+// name and the domain (the paper's path never numbers domains, which is
+// why it caps out — and why this path is kept separate instead of
 // changing it).
 func (g *nameGen) nextSized(sector string) (name, ticker, domain string) {
 	flavors := sectorFlavors[sector]

@@ -39,6 +39,10 @@ type Meta struct {
 	Format string `json:"format,omitempty"`
 	// Codec is the binary record codec version.
 	Codec int `json:"codec,omitempty"`
+	// Incarnation counts the dispatch coordinators opened over the
+	// store; each one bumps it and fences its leases with it. Pipeline
+	// checkpoints and event logs never set it.
+	Incarnation int `json:"incarnation,omitempty"`
 }
 
 // MetaStore is the optional stamping interface both shipped backends

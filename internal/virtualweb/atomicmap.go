@@ -17,10 +17,9 @@ const defaultRenderCacheCap = 4096
 
 // renderCache is a bounded LRU over rendered sites, keyed by host.
 type renderCache struct {
-	mu  sync.Mutex
-	cap int
-	m   map[string]*list.Element
-	l   list.List // front = most recently used
+	mu sync.Mutex
+	m  map[string]*list.Element
+	l  list.List // front = most recently used
 }
 
 type renderEntry struct {
@@ -45,16 +44,13 @@ func (c *renderCache) store(host string, pages map[string]webgen.Page) {
 	if c.m == nil {
 		c.m = map[string]*list.Element{}
 	}
-	if c.cap <= 0 {
-		c.cap = defaultRenderCacheCap
-	}
 	if el, ok := c.m[host]; ok {
 		el.Value.(*renderEntry).pages = pages
 		c.l.MoveToFront(el)
 		return
 	}
 	c.m[host] = c.l.PushFront(&renderEntry{host: host, pages: pages})
-	for c.l.Len() > c.cap {
+	for c.l.Len() > defaultRenderCacheCap {
 		last := c.l.Back()
 		c.l.Remove(last)
 		delete(c.m, last.Value.(*renderEntry).host)

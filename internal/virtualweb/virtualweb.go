@@ -12,7 +12,6 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync/atomic"
 
 	"aipan/internal/webgen"
 )
@@ -20,7 +19,6 @@ import (
 // Provider renders sites on demand; *webgen.Generator implements it.
 type Provider interface {
 	RenderSite(domain string) map[string]webgen.Page
-	Site(domain string) *webgen.Site
 }
 
 // ErrTimeout is returned for pages that simulate a hung server.
@@ -29,7 +27,6 @@ var ErrTimeout = errors.New("virtualweb: request timed out")
 // Transport is an http.RoundTripper over the synthetic web.
 type Transport struct {
 	provider Provider
-	requests atomic.Int64
 	// cache avoids re-rendering a site for every request. It is a
 	// bounded LRU (defaultRenderCacheCap hosts), so memory stays flat
 	// however many domains the run visits.
@@ -41,26 +38,13 @@ func NewTransport(p Provider) *Transport {
 	return &Transport{provider: p}
 }
 
-// WithCacheSize bounds the render cache to at most n hosts (default
-// defaultRenderCacheCap) and returns the transport for chaining.
-func (t *Transport) WithCacheSize(n int) *Transport {
-	t.cache.mu.Lock()
-	t.cache.cap = n
-	t.cache.mu.Unlock()
-	return t
-}
-
 // Client returns an http.Client using this transport.
 func (t *Transport) Client() *http.Client {
 	return &http.Client{Transport: t}
 }
 
-// Requests reports how many requests the transport has served.
-func (t *Transport) Requests() int64 { return t.requests.Load() }
-
 // RoundTrip implements http.RoundTripper.
 func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
-	t.requests.Add(1)
 	host := hostname(req.URL.Host)
 	pages := t.pagesFor(host)
 	if pages == nil {
@@ -137,13 +121,12 @@ func hostname(host string) string {
 // header (use curl --resolve or /etc/hosts entries), with a fallback
 // /_site/<domain>/<path> form for plain browsers.
 type Handler struct {
-	provider  Provider
 	transport *Transport
 }
 
 // NewHandler builds an http.Handler over the provider.
 func NewHandler(p Provider) *Handler {
-	return &Handler{provider: p, transport: NewTransport(p)}
+	return &Handler{transport: NewTransport(p)}
 }
 
 // ServeHTTP implements http.Handler.

@@ -7,27 +7,24 @@ import (
 	"aipan/internal/russell"
 )
 
-// TestLazyMatchesEagerAtPaperSize: at the paper's universe size the
-// scaled failure plan reduces to the paper's counts, so a lazy
-// generator must derive the exact site an eager one materializes —
-// except the three §5 retention-extreme sites, whose pinning is a
-// global eager-only pass.
+// TestLazyMatchesEagerAtPaperSize: the paper roster's memo holds the
+// exact site an on-demand derivation yields for every domain — except
+// the three §5 retention-extreme sites, whose pinning is a global pass
+// over the memo.
 func TestLazyMatchesEagerAtPaperSize(t *testing.T) {
-	domains := russell.UniqueDomains(russell.Universe(Seed))
-	eager := New(Seed, domains)
-	lazy := NewLazy(Seed, domains)
-	if !lazy.Lazy() || eager.Lazy() {
-		t.Fatal("Lazy() flags wrong")
+	g := New(Seed, russell.UniqueDomains(russell.Universe(Seed)))
+	if len(g.sites) != russell.NumDomains {
+		t.Fatalf("paper roster memo holds %d sites, want %d", len(g.sites), russell.NumDomains)
 	}
 	diverged := 0
-	for _, d := range eager.Domains() {
-		es, ls := eager.Site(d), lazy.Site(d)
-		if es.statedExtreme != 0 {
+	for _, d := range g.Domains() {
+		ms, ds := g.Site(d), g.derive(d)
+		if ms.statedExtreme != 0 {
 			diverged++
-			continue // pinned retention extremes exist only eagerly
+			continue // pinned retention extremes exist only in the memo
 		}
-		if !reflect.DeepEqual(*es, *ls) {
-			t.Fatalf("lazy site %s diverged from eager", d)
+		if !reflect.DeepEqual(*ms, *ds) {
+			t.Fatalf("memoized site %s diverged from its derivation", d)
 		}
 	}
 	if diverged != 3 {
@@ -35,17 +32,20 @@ func TestLazyMatchesEagerAtPaperSize(t *testing.T) {
 	}
 }
 
-// TestLazySiteDeterministic: repeated lazy derivations of the same site
-// are identical, and renders through the lazy path match too.
+// TestLazySiteDeterministic: off the paper roster, repeated derivations
+// of the same site are identical, and so are their renders.
 func TestLazySiteDeterministic(t *testing.T) {
 	domains := russell.UniqueDomains(russell.UniverseSized(Seed, 4000))
-	g := NewLazy(Seed, domains)
+	g := New(Seed, domains)
+	if g.sites != nil {
+		t.Fatal("a 4,000-domain roster built a memo")
+	}
 	d := g.Domains()[17]
 	if !reflect.DeepEqual(*g.Site(d), *g.Site(d)) {
-		t.Fatal("lazy Site is not deterministic")
+		t.Fatal("derived Site is not deterministic")
 	}
 	if !reflect.DeepEqual(g.RenderSite(d), g.RenderSite(d)) {
-		t.Fatal("lazy RenderSite is not deterministic")
+		t.Fatal("derived RenderSite is not deterministic")
 	}
 }
 
@@ -54,7 +54,7 @@ func TestLazySiteDeterministic(t *testing.T) {
 func TestLazyScaledFailurePlan(t *testing.T) {
 	const n = 20_000
 	domains := russell.UniqueDomains(russell.UniverseSized(Seed, n))
-	g := NewLazy(Seed, domains)
+	g := New(Seed, domains)
 	byClass := map[FailureClass]int{}
 	for _, c := range g.failures {
 		byClass[c]++

@@ -163,26 +163,26 @@ type Site struct {
 	statedExtreme int
 }
 
-// Generator produces and caches sites for a universe. The default
-// (eager) form materializes every site up front; the lazy form
-// (NewLazy) holds only the domain roster and failure assignments and
-// re-derives each site on demand — constant marginal memory per domain,
-// which is what lets the synthetic web scale to 100k–1M domains.
+// Generator derives the sites of a universe. Each site is a pure
+// function of (seed, domain, failure class), so the generator holds only
+// the sorted roster and the failure assignment and derives a site on
+// demand — constant marginal memory per domain, which is what lets the
+// synthetic web scale to 100k–1M domains. The paper roster (exactly
+// russell.NumDomains domains) also keeps every derived site in a memo
+// filled at construction, with the §5 retention extremes pinned over it:
+// on the paper workload the memo measured faster than deriving on demand
+// (DESIGN.md §15).
 type Generator struct {
-	seed  int64
-	sites map[string]*Site
-	order []string
-
-	// Lazy mode: instead of the sites map, keep one compact info entry
-	// per domain plus the (sparse) failure assignment; Site re-samples
-	// on demand, which is deterministic because sampling is a pure
-	// function of (seed, domain, failure class).
-	lazy     bool
+	seed     int64
+	order    []string
 	info     map[string]siteInfo
 	failures map[string]FailureClass
+	// sites is the paper roster's memo of derived sites; nil on any
+	// other roster.
+	sites map[string]*Site
 }
 
-// siteInfo is the per-domain roster entry retained in lazy mode.
+// siteInfo is the per-domain roster entry a site is derived from.
 type siteInfo struct {
 	company string
 	sector  string
@@ -190,46 +190,8 @@ type siteInfo struct {
 
 // New builds the generator for a deduplicated domain list.
 func New(seed int64, domains []russell.DomainInfo) *Generator {
-	g := &Generator{seed: seed, sites: make(map[string]*Site, len(domains))}
-	for _, d := range domains {
-		company := d.Companies[0].Name
-		g.sites[d.Domain] = &Site{
-			Domain:       d.Domain,
-			Company:      company,
-			Sector:       d.Sector,
-			SectorAbbrev: russell.Abbrev(d.Sector),
-		}
-		g.order = append(g.order, d.Domain)
-	}
-	sort.Strings(g.order)
-	g.assignFailures()
-	for _, dom := range g.order {
-		g.sample(g.sites[dom])
-	}
-	g.pinRetentionExtremes()
-	return g
-}
-
-// NewDefault builds the full AIPAN-3k corpus generator.
-func NewDefault() *Generator {
-	return New(Seed, russell.UniqueDomains(russell.Universe(Seed)))
-}
-
-// NewLazy builds a generator that derives sites on demand instead of
-// materializing the corpus: only the domain roster and the failure
-// assignment are retained, so memory is O(domains), not O(rendered
-// corpus). Two deliberate differences from the eager form, both
-// scale-only (the paper's default universe always uses New):
-//   - the failure plan is scaled proportionally from the paper's 2,892
-//     counts, with every §4 class kept represented so failure-mode
-//     diversity survives at any size;
-//   - the §5 retention-extreme pinning is skipped (it is a global pass
-//     over all sites, and the extremes are a paper-reproduction detail,
-//     not a scale property).
-func NewLazy(seed int64, domains []russell.DomainInfo) *Generator {
 	g := &Generator{
 		seed:     seed,
-		lazy:     true,
 		info:     make(map[string]siteInfo, len(domains)),
 		failures: map[string]FailureClass{},
 		order:    make([]string, 0, len(domains)),
@@ -239,20 +201,36 @@ func NewLazy(seed int64, domains []russell.DomainInfo) *Generator {
 		g.order = append(g.order, d.Domain)
 	}
 	sort.Strings(g.order)
-	g.assignFailuresScaled()
+	g.assignFailures()
+	if len(g.order) == russell.NumDomains {
+		g.sites = make(map[string]*Site, len(g.order))
+		for _, d := range g.order {
+			g.sites[d] = g.derive(d)
+		}
+		g.pinRetentionExtremes()
+	}
 	return g
 }
 
-// Lazy reports whether the generator derives sites on demand.
-func (g *Generator) Lazy() bool { return g.lazy }
+// NewDefault builds the full AIPAN-3k corpus generator.
+func NewDefault() *Generator {
+	return New(Seed, russell.UniqueDomains(russell.Universe(Seed)))
+}
 
-// Site returns the site for a domain (nil if unknown). In lazy mode the
-// site is derived on each call — identical bytes every time, since
-// sampling is seeded per domain — and the caller owns the value.
+// Site returns the site for a domain (nil if unknown). The returned site
+// must not be modified: on the paper roster it is the memo's shared
+// entry, and elsewhere every call derives identical bytes, since
+// sampling is seeded per domain.
 func (g *Generator) Site(domain string) *Site {
-	if !g.lazy {
+	if g.sites != nil {
 		return g.sites[domain]
 	}
+	return g.derive(domain)
+}
+
+// derive builds a domain's site from its roster entry and failure class
+// (nil if the domain is not on the roster).
+func (g *Generator) derive(domain string) *Site {
 	inf, ok := g.info[domain]
 	if !ok {
 		return nil
@@ -268,8 +246,8 @@ func (g *Generator) Site(domain string) *Site {
 	return s
 }
 
-// Sites returns all sites in deterministic (domain-sorted) order. In
-// lazy mode this materializes every site — intended for reports over
+// Sites returns all sites in deterministic (domain-sorted) order. Off
+// the paper roster this derives every site — intended for reports over
 // small universes, not for the streaming pipeline.
 func (g *Generator) Sites() []*Site {
 	out := make([]*Site, len(g.order))
@@ -285,25 +263,12 @@ func (g *Generator) Domains() []string {
 }
 
 // assignFailures deterministically spreads the failure plan across the
-// corpus.
+// roster: the paper's per-class counts scale proportionally with the
+// universe (on the paper roster they are the counts themselves), each
+// class floored at one domain once the universe is at least paper-sized,
+// and only failing domains are stored (the failure map stays ~12% of
+// the roster).
 func (g *Generator) assignFailures() {
-	rng := rand.New(rand.NewSource(g.seed ^ 0xFA11))
-	perm := rng.Perm(len(g.order))
-	i := 0
-	for _, fp := range failurePlan {
-		for n := 0; n < fp.count && i < len(perm); n++ {
-			g.sites[g.order[perm[i]]].Failure = fp.class
-			i++
-		}
-	}
-}
-
-// assignFailuresScaled is the lazy-mode failure assignment: the paper's
-// per-class counts scale proportionally with the universe, each class
-// floored at one domain once the universe is at least paper-sized, and
-// only failing domains are stored (the failure map stays ~12% of the
-// corpus).
-func (g *Generator) assignFailuresScaled() {
 	n := len(g.order)
 	rng := rand.New(rand.NewSource(g.seed ^ 0xFA11))
 	perm := rng.Perm(n)
@@ -353,8 +318,8 @@ func (g *Generator) rngFor(domain, purpose string) *rand.Rand {
 	return r
 }
 
-// pinRetentionExtremes forces the §5 extremes: two domains with a 1-day
-// stated period and one with 50 years.
+// pinRetentionExtremes forces the §5 extremes over the paper roster's
+// memo: two domains with a 1-day stated period and one with 50 years.
 func (g *Generator) pinRetentionExtremes() {
 	var stated []*Site
 	for _, d := range g.order {

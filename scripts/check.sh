@@ -51,13 +51,14 @@ echo "==> native fuzzing (10s per target)"
 # Each target checks a property, not just the absence of a crash: the
 # nlp targets against a reference implementation, FuzzDecodeRecord the
 # store codec's round trip and its allocation bound on arbitrary frame
-# payloads, and the chatbot targets the answer codec against its
-# encoding/json reference. go test takes one -fuzz pattern per
+# payloads, the chatbot targets the answer codec against its
+# encoding/json reference, and FuzzParse the HTML parser's trees against
+# its plain two-scan reference. go test takes one -fuzz pattern per
 # invocation, so each package:target pair runs on its own; a failing
 # input is written under the package's testdata/fuzz/, where plain go
 # test replays it.
 for spec in nlp:FuzzNegationScope nlp:FuzzSingular store:FuzzDecodeRecord \
-  chatbot:FuzzParseAnswers chatbot:FuzzEncodeAnswers; do
+  chatbot:FuzzParseAnswers chatbot:FuzzEncodeAnswers htmlx:FuzzParse; do
   go test -run NONE -fuzz "^${spec#*:}\$" -fuzztime 10s "./internal/${spec%%:*}/"
 done
 
