@@ -11,15 +11,13 @@ import (
 // corpus is the deterministic study substrate for one (seed, size): the
 // synthetic Russell-like universe, its search-resolved domains, and the
 // generated web. Everything in it is a pure function of the key and
-// read-only after construction, but building it costs roughly a third of
-// a 50-domain pipeline run — so pipelines sharing a key share one corpus
-// instead of regenerating the sites each.
+// read-only after construction, so pipelines sharing a key share one
+// corpus instead of rebuilding it each.
 //
 // One builder and one generator serve every size (Config.
 // UniverseDomains). Only the company roster is materialized, and each
 // domain's site is derived on demand from the seed — which is what keeps
-// a 100k-domain run's memory flat — except on the paper's 2,892-domain
-// roster, whose sites webgen.New keeps in a memo.
+// a 100k-domain run's memory flat.
 type corpus struct {
 	seed      int64
 	size      int // unique domains; 0 = the paper's default universe

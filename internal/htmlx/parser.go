@@ -53,8 +53,9 @@ func (a *nodeArena) new(t NodeType, data string, attr []Attribute) *Node {
 // malformed input yields the most sensible tree we can construct.
 //
 // Work is linear in the input, hostile input included. open counts the
-// elements of each name on the stack, so an end tag whose name is not
-// open, and a block start with no open <p>, skip the stack scan. A scan
+// elements of each name on the stack (a name leaves it when its count
+// falls to zero), so an end tag whose name is not open, and a block start
+// with no open <p>, skip the stack scan. A scan
 // that does run reaches its match and pops every element it passes: no
 // block starter is ever pushed above an open <p> without closing it
 // first, so the <p> search never stops short.
@@ -63,10 +64,12 @@ func Parse(src string) *Node {
 	doc := arena.new(DocumentNode, "", nil)
 	stack := []*Node{doc}
 	top := func() *Node { return stack[len(stack)-1] }
-	var open openCounts
+	open := map[string]int{}
 	popTo := func(i int) {
 		for _, n := range stack[i:] {
-			open.dec(n.Data)
+			if open[n.Data]--; open[n.Data] == 0 {
+				delete(open, n.Data)
+			}
 		}
 		stack = stack[:i]
 	}
@@ -98,7 +101,7 @@ func Parse(src string) *Node {
 					popTo(len(stack) - 1)
 				}
 			}
-			if blockStarters[name] && open.has("p") {
+			if blockStarters[name] && open["p"] > 0 {
 				// A block element closes the open <p>.
 				for i := len(stack) - 1; i > 0; i-- {
 					if stack[i].Data == "p" {
@@ -111,11 +114,11 @@ func Parse(src string) *Node {
 			top().AppendChild(n)
 			if !IsVoid(name) {
 				stack = append(stack, n)
-				open.inc(name)
+				open[name]++
 			}
 		case EndTagToken:
 			name := tok.Data
-			if !open.has(name) {
+			if open[name] == 0 {
 				continue // no matching open element (void ones never are): ignore
 			}
 			for i := len(stack) - 1; i > 0; i-- {
@@ -127,60 +130,4 @@ func Parse(src string) *Node {
 		}
 	}
 	return doc
-}
-
-// openCounts counts the open elements of each name. A page holds only a
-// few names open at once, so they sit in a short array searched from its
-// newest entry — no hashing, no allocation — and leave it when their
-// count falls to zero. Names that find the array full (hostile input)
-// count in a map instead; a name may count in both, so has and dec
-// consult both.
-type openCounts struct {
-	names  [16]string
-	counts [16]int
-	n      int
-	spill  map[string]int
-}
-
-func (o *openCounts) find(name string) int {
-	for i := o.n - 1; i >= 0; i-- {
-		if o.names[i] == name {
-			return i
-		}
-	}
-	return -1
-}
-
-func (o *openCounts) has(name string) bool {
-	return o.find(name) >= 0 || o.spill[name] > 0
-}
-
-func (o *openCounts) inc(name string) {
-	switch i := o.find(name); {
-	case i >= 0:
-		o.counts[i]++
-	case o.n < len(o.names):
-		o.names[o.n], o.counts[o.n] = name, 1
-		o.n++
-	default:
-		if o.spill == nil {
-			o.spill = map[string]int{}
-		}
-		o.spill[name]++
-	}
-}
-
-// dec uncounts one open element of name.
-func (o *openCounts) dec(name string) {
-	i := o.find(name)
-	if i < 0 {
-		if o.spill[name]--; o.spill[name] == 0 {
-			delete(o.spill, name)
-		}
-		return
-	}
-	if o.counts[i]--; o.counts[i] == 0 {
-		o.n--
-		o.names[i], o.counts[i] = o.names[o.n], o.counts[o.n]
-	}
 }

@@ -7,28 +7,40 @@ import (
 	"aipan/internal/russell"
 )
 
-// TestLazyMatchesEagerAtPaperSize: the paper roster's memo holds the
-// exact site an on-demand derivation yields for every domain — except
-// the three §5 retention-extreme sites, whose pinning is a global pass
-// over the memo.
+// TestLazyMatchesEagerAtPaperSize: on the paper roster every site is its
+// unpinned derivation, except the three §5 retention extremes — the first
+// two sites in domain order that state a retention period (1 day) and the
+// last one (50 years) — which differ in that period alone.
 func TestLazyMatchesEagerAtPaperSize(t *testing.T) {
 	g := New(Seed, russell.UniqueDomains(russell.Universe(Seed)))
-	if len(g.sites) != russell.NumDomains {
-		t.Fatalf("paper roster memo holds %d sites, want %d", len(g.sites), russell.NumDomains)
-	}
-	diverged := 0
+	bare := *g
+	bare.pins = nil
+	var stated []string
 	for _, d := range g.Domains() {
-		ms, ds := g.Site(d), g.derive(d)
-		if ms.statedExtreme != 0 {
-			diverged++
-			continue // pinned retention extremes exist only in the memo
+		ps, bs := g.Site(d), bare.Site(d)
+		for _, h := range bs.Truth.Handling {
+			if h.Label == "Stated" && bs.Failure == FailNone {
+				stated = append(stated, d)
+				break
+			}
 		}
-		if !reflect.DeepEqual(*ms, *ds) {
-			t.Fatalf("memoized site %s diverged from its derivation", d)
+		if days, ok := g.pins[d]; ok {
+			for i := range bs.Truth.Handling {
+				if bs.Truth.Handling[i].Label == "Stated" {
+					bs.Truth.Handling[i].RetentionDays = days
+				}
+			}
+		}
+		if !reflect.DeepEqual(*ps, *bs) {
+			t.Fatalf("site %s differs from its derivation beyond its retention pin", d)
 		}
 	}
-	if diverged != 3 {
-		t.Fatalf("expected exactly 3 pinned retention-extreme sites, saw %d", diverged)
+	if len(stated) < 3 {
+		t.Fatalf("only %d sites state a retention period", len(stated))
+	}
+	want := map[string]int{stated[0]: 1, stated[1]: 1, stated[len(stated)-1]: 50 * 365}
+	if !reflect.DeepEqual(g.pins, want) {
+		t.Fatalf("retention pins = %v, want %v", g.pins, want)
 	}
 }
 
@@ -37,8 +49,8 @@ func TestLazyMatchesEagerAtPaperSize(t *testing.T) {
 func TestLazySiteDeterministic(t *testing.T) {
 	domains := russell.UniqueDomains(russell.UniverseSized(Seed, 4000))
 	g := New(Seed, domains)
-	if g.sites != nil {
-		t.Fatal("a 4,000-domain roster built a memo")
+	if g.pins != nil {
+		t.Fatal("a 4,000-domain roster pinned retention extremes")
 	}
 	d := g.Domains()[17]
 	if !reflect.DeepEqual(*g.Site(d), *g.Site(d)) {

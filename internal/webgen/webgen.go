@@ -158,28 +158,23 @@ type Site struct {
 	Failure      FailureClass
 	Layout       Layout
 	Truth        GroundTruth
-	// StatedExtreme pins the §5 retention extremes (1 = the 1-day minimum,
-	// 2 = the 50-year maximum).
-	statedExtreme int
 }
 
 // Generator derives the sites of a universe. Each site is a pure
 // function of (seed, domain, failure class), so the generator holds only
 // the sorted roster and the failure assignment and derives a site on
 // demand — constant marginal memory per domain, which is what lets the
-// synthetic web scale to 100k–1M domains. The paper roster (exactly
-// russell.NumDomains domains) also keeps every derived site in a memo
-// filled at construction, with the §5 retention extremes pinned over it:
-// on the paper workload the memo measured faster than deriving on demand
-// (DESIGN.md §15).
+// synthetic web scale to 100k–1M domains. On the paper roster (exactly
+// russell.NumDomains domains) it also holds the §5 retention pins, which
+// every derivation of those three sites applies.
 type Generator struct {
 	seed     int64
 	order    []string
 	info     map[string]siteInfo
 	failures map[string]FailureClass
-	// sites is the paper roster's memo of derived sites; nil on any
-	// other roster.
-	sites map[string]*Site
+	// pins maps each §5 retention-extreme domain to the stated retention
+	// period (days) forced onto its site; nil off the paper roster.
+	pins map[string]int
 }
 
 // siteInfo is the per-domain roster entry a site is derived from.
@@ -203,10 +198,6 @@ func New(seed int64, domains []russell.DomainInfo) *Generator {
 	sort.Strings(g.order)
 	g.assignFailures()
 	if len(g.order) == russell.NumDomains {
-		g.sites = make(map[string]*Site, len(g.order))
-		for _, d := range g.order {
-			g.sites[d] = g.derive(d)
-		}
 		g.pinRetentionExtremes()
 	}
 	return g
@@ -217,20 +208,10 @@ func NewDefault() *Generator {
 	return New(Seed, russell.UniqueDomains(russell.Universe(Seed)))
 }
 
-// Site returns the site for a domain (nil if unknown). The returned site
-// must not be modified: on the paper roster it is the memo's shared
-// entry, and elsewhere every call derives identical bytes, since
+// Site derives the site for a domain (nil if the domain is not on the
+// roster). Every call builds a fresh site with identical bytes, since
 // sampling is seeded per domain.
 func (g *Generator) Site(domain string) *Site {
-	if g.sites != nil {
-		return g.sites[domain]
-	}
-	return g.derive(domain)
-}
-
-// derive builds a domain's site from its roster entry and failure class
-// (nil if the domain is not on the roster).
-func (g *Generator) derive(domain string) *Site {
 	inf, ok := g.info[domain]
 	if !ok {
 		return nil
@@ -243,12 +224,19 @@ func (g *Generator) derive(domain string) *Site {
 		Failure:      g.failures[domain],
 	}
 	g.sample(s)
+	if days, ok := g.pins[domain]; ok {
+		for i := range s.Truth.Handling {
+			if s.Truth.Handling[i].Label == "Stated" {
+				s.Truth.Handling[i].RetentionDays = days
+			}
+		}
+	}
 	return s
 }
 
-// Sites returns all sites in deterministic (domain-sorted) order. Off
-// the paper roster this derives every site — intended for reports over
-// small universes, not for the streaming pipeline.
+// Sites derives all sites in deterministic (domain-sorted) order —
+// intended for reports over small universes, not for the streaming
+// pipeline.
 func (g *Generator) Sites() []*Site {
 	out := make([]*Site, len(g.order))
 	for i, d := range g.order {
@@ -318,36 +306,41 @@ func (g *Generator) rngFor(domain, purpose string) *rand.Rand {
 	return r
 }
 
-// pinRetentionExtremes forces the §5 extremes over the paper roster's
-// memo: two domains with a 1-day stated period and one with 50 years.
+// pinRetentionExtremes picks the §5 extremes on the paper roster: the
+// first two sites in domain order with a stated retention period get 1
+// day and the last gets 50 years. Nothing is pinned when fewer than
+// three sites state a period.
 func (g *Generator) pinRetentionExtremes() {
-	var stated []*Site
-	for _, d := range g.order {
-		s := g.sites[d]
-		if s.Failure != FailNone {
-			continue
+	stated := func(d string) bool {
+		if g.failures[d] != FailNone {
+			return false
 		}
-		for i := range s.Truth.Handling {
-			if s.Truth.Handling[i].Label == "Stated" {
-				stated = append(stated, s)
-				break
+		for _, h := range g.Site(d).Truth.Handling {
+			if h.Label == "Stated" {
+				return true
 			}
 		}
+		return false
 	}
-	if len(stated) < 3 {
+	var first []int
+	for i := 0; i < len(g.order) && len(first) < 2; i++ {
+		if stated(g.order[i]) {
+			first = append(first, i)
+		}
+	}
+	if len(first) < 2 {
 		return
 	}
-	set := func(s *Site, days, kind int) {
-		for i := range s.Truth.Handling {
-			if s.Truth.Handling[i].Label == "Stated" {
-				s.Truth.Handling[i].RetentionDays = days
+	for i := len(g.order) - 1; i > first[1]; i-- {
+		if stated(g.order[i]) {
+			g.pins = map[string]int{
+				g.order[first[0]]: 1,
+				g.order[first[1]]: 1,
+				g.order[i]:        50 * 365,
 			}
+			return
 		}
-		s.statedExtreme = kind
 	}
-	set(stated[0], 1, 1)
-	set(stated[1], 1, 1)
-	set(stated[len(stated)-1], 50*365, 2)
 }
 
 // gauss draws a clamped normal deviate.
